@@ -74,7 +74,6 @@ from .subspace import (
     basis_diagnostics,
     build_M_and_T,
     build_N_basis,
-    decay_curve_to_csv,
     gamov,
     gamov_coefficients,
     resolve_B,

@@ -175,12 +175,16 @@ def cmd_decay(model, a, v0, radius, grid_n, grid_l, basis_n, times, out_dir):
     unitary comparison curve, and the exponential reference exp(-t |Im zeta|)
     for the normalized decaying eigenvector, 12 significant digits.
 
-    Exit code 3 flags a trivial admissible subspace (no resonances).
+    Exit code 1 flags a bad configuration, including a basis size outside
+    [1, grid-n/2]; exit code 3 a trivial admissible subspace (no resonances).
     """
     try:
         mdl = _parse_model(model, a, v0, radius)
         tgrid = _parse_times(times)
         grid = make_grid(grid_n, grid_l)
+        if not 1 <= basis_n <= grid_n // 2:
+            raise click.UsageError(
+                f"--basis-n must lie in [1, {grid_n // 2}] (half of --grid-n), got {basis_n}")
         os.makedirs(out_dir, exist_ok=True)
     except (ValueError, json.JSONDecodeError, click.UsageError) as exc:
         click.echo(f"error: {exc}", err=True)

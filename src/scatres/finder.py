@@ -29,8 +29,6 @@ __all__ = [
     "resonances_to_csv",
 ]
 
-KINDS = ("resonance", "bound_state", "rim_pole", "antiresonance")
-
 
 @dataclass
 class Resonance:

@@ -13,6 +13,7 @@ repair the resulting window/alias artifacts with closed-form tail integrals
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import sici
@@ -212,15 +213,9 @@ class _TailCache:
         return (A[None, :] * i1 + B[None, :] * i2) / np.sqrt(2 * np.pi)
 
 
-_TAIL_CACHES: dict[Grid, _TailCache] = {}
-
-
+@lru_cache(maxsize=8)
 def _tail_cache(grid: Grid) -> _TailCache:
-    tc = _TAIL_CACHES.get(grid)
-    if tc is None:
-        tc = _TailCache(grid)
-        _TAIL_CACHES[grid] = tc
-    return tc
+    return _TailCache(grid)
 
 
 def _matched_cut(f: GridFunction, sign: str, shift: float = 0.0) -> GridFunction:
@@ -311,28 +306,15 @@ def _phi_samples(lam: np.ndarray, count: int) -> np.ndarray:
     return out
 
 
-_PHI_CACHES: dict[tuple[Grid, int], np.ndarray] = {}
-_GRAM_CACHES: dict[tuple[Grid, int], np.ndarray] = {}
-
-
+@lru_cache(maxsize=8)
 def _phi_matrix(grid: Grid, count: int) -> np.ndarray:
-    key = (grid, count)
-    m = _PHI_CACHES.get(key)
-    if m is None:
-        m = _phi_samples(grid.points(), count)
-        _PHI_CACHES[key] = m
-    return m
+    return _phi_samples(grid.points(), count)
 
 
+@lru_cache(maxsize=8)
 def _phi_gram_cho(grid: Grid, count: int) -> np.ndarray:
-    key = (grid, count)
-    c = _GRAM_CACHES.get(key)
-    if c is None:
-        phi = _phi_matrix(grid, count)
-        gram = grid.spacing * (phi.conj().T @ phi)
-        c = np.linalg.cholesky(gram)
-        _GRAM_CACHES[key] = c
-    return c
+    phi = _phi_matrix(grid, count)
+    return np.linalg.cholesky(grid.spacing * (phi.conj().T @ phi))
 
 
 def mt_basis(j: int, grid: Grid, m: int = 1, component: int = 0) -> GridFunction:

@@ -111,10 +111,6 @@ class SMatrixModel:
         """Poles on the negative axis approached from above, as (position, order)."""
         return []
 
-    def resonance_hints(self) -> list[tuple[complex, int]]:
-        """Known lower-half-plane pole locations (position, sheet), if any."""
-        return []
-
 
 # ---------------------------------------------------------------------------
 # rational one-sheet family
@@ -132,6 +128,8 @@ class RationalModel(SMatrixModel):
 
     def __init__(self, poles, name: str = "rational"):
         poles = tuple(complex(p) for p in poles)
+        if not all(np.isfinite(p) for p in poles):
+            raise ValueError("poles must be finite")
         if any(p.imag == 0 for p in poles):
             raise ValueError("real poles would break unitarity of the rational family")
         self.poles = poles
@@ -166,9 +164,6 @@ class RationalModel(SMatrixModel):
                 out[p] = out.get(p, 0) + 1
         return sorted(out.items(), key=lambda kv: (kv[0].real, kv[0].imag))
 
-    def resonance_hints(self):
-        return [(p, 1) for p in self.poles if p.imag < 0]
-
 
 def example1() -> RationalModel:
     """The rank-one Friedrichs example on the whole line: poles at i and 1 - i."""
@@ -199,9 +194,10 @@ class RankOneModel(SMatrixModel):
     dim_k = 1
 
     def __init__(self, a: float):
-        if a == 0:
-            raise ValueError("coupling a must be nonzero")
-        self.a = float(a)
+        a = float(a)
+        if a == 0 or not np.isfinite(a):
+            raise ValueError(f"coupling a must be finite and nonzero, got {a}")
+        self.a = a
         self.name = f"rankone(a={self.a:g})"
 
     def eval(self, z, sheet: int = 1):
@@ -230,15 +226,6 @@ class RankOneModel(SMatrixModel):
             if k.imag > 1e-14 and abs(k.real) < 1e-14:
                 poles.append((-(k.imag ** 2), 1))
         return sorted(poles)
-
-    def resonance_hints(self):
-        hints = []
-        for k in self.eigen_momenta():
-            z = k**2
-            sheet = 1 if k.imag > 0 else 2
-            if z.imag < 0:
-                hints.append((z, sheet))
-        return hints
 
     def trace_data(self) -> "TraceClassData":
         return rankone_trace_data(self.a)
@@ -295,10 +282,11 @@ class SquareWellModel(SMatrixModel):
     dim_k = 1
 
     def __init__(self, v0: float, radius: float):
-        if v0 <= 0 or radius <= 0:
-            raise ValueError("well depth and radius must be positive")
-        self.v0 = float(v0)
-        self.radius = float(radius)
+        v0, radius = float(v0), float(radius)
+        if not (0 < v0 < np.inf and 0 < radius < np.inf):
+            raise ValueError(f"well depth and radius must be positive and finite, got {v0}, {radius}")
+        self.v0 = v0
+        self.radius = radius
         self.name = f"squarewell(v0={self.v0:g}, a={self.radius:g})"
 
     def eval(self, z, sheet: int = 1):

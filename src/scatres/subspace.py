@@ -10,7 +10,6 @@ order, so the complement has exactly the dimension the constraints carve out.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from .hardy import (
     GridFunction,
     cauchy_eval,
     mt_coefficients_grid,
-    mt_expand,
+    mt_expand,  # noqa: F401  (unused here; perfbench/selftest.py traces this binding)
     mt_point_eval,
     mt_synthesize,
     norm,
@@ -40,7 +39,6 @@ __all__ = [
     "DecayCurve",
     "transition_curve",
     "b_matrix",
-    "decay_curve_to_csv",
     "basis_diagnostics",
 ]
 
@@ -53,16 +51,20 @@ class SubspaceBasis:
 
     ``coefs`` has shape (D, r): columns are coefficient vectors with respect to
     the rational basis, orthonormal in the exact inner product of the
-    truncation.  ``members`` are the sampled grid functions.
+    truncation.
     """
 
     role: str
     grid: Grid
     coefs: np.ndarray
-    members: list
     model: SMatrixModel
     params: dict
     diagnostics: dict
+
+    @property
+    def members(self) -> list[GridFunction]:
+        """The columns sampled on the grid, synthesized on each access."""
+        return [mt_synthesize(self.coefs[:, i], self.grid) for i in range(self.dim)]
 
     @property
     def dim(self) -> int:
@@ -78,12 +80,7 @@ def _require_scalar(model: SMatrixModel):
         raise NotImplementedError("subspace construction is implemented for multiplicity one")
 
 
-def _phi_callable(j: int):
-    return lambda lam: (1 / np.sqrt(np.pi)) * (lam - 1j) ** j / (lam + 1j) ** (j + 1)
-
-
-def build_N_basis(model: SMatrixModel, n: int, mode: str, grid: Grid,
-                  n_theta: int = N_THETA) -> SubspaceBasis:
+def build_N_basis(model: SMatrixModel, n: int, mode: str, grid: Grid) -> SubspaceBasis:
     """Constrained subspace inside the working truncation.
 
     ``mode='upper_poles'`` enforces vanishing (to the pole order) at the
@@ -92,6 +89,11 @@ def build_N_basis(model: SMatrixModel, n: int, mode: str, grid: Grid,
     vanishing at the negative-axis poles of the upper boundary values through
     ``p(lam)/(lam + i)^g`` with ``p`` the monic polynomial over the rim poles.
     With no constraints the result is the full truncated basis.
+
+    In ``t = (lam - i)/(lam + i)`` each factor ``(lam - xi)/(lam + i)`` is the
+    linear polynomial ``((i - xi) + (i + xi) t)/(2i)`` and ``phi_j`` carries
+    ``t^j``, so the multiplied basis has exact coefficients: the product
+    polynomial shifted down by ``j`` rows in column ``j``.
     """
     _require_scalar(model)
     if n < 1:
@@ -110,24 +112,19 @@ def build_N_basis(model: SMatrixModel, n: int, mode: str, grid: Grid,
         raise ValueError(f"mode must be 'upper_poles' or 'rim_poles', got {mode!r}")
     g_total = sum(g for _, g in factors)
 
-    def multiplier(lam):
-        out = np.ones_like(lam, dtype=complex)
-        for pos, g in factors:
-            out = out * ((lam - pos) / (lam + 1j)) ** g
-        return out
-
+    poly = np.ones(1, dtype=complex)
+    for pos, g in factors:
+        for _ in range(g):
+            poly = np.convolve(poly, [(1j - pos) / 2j, (1j + pos) / 2j])
     d_work = n + g_total
-    cols = np.empty((d_work, n), dtype=complex)
+    cols = np.zeros((d_work, n), dtype=complex)
     for j in range(n):
-        phi_j = _phi_callable(j)
-        cols[:, j] = mt_expand(lambda lam: multiplier(lam) * phi_j(lam), d_work, n_theta)
+        cols[j:j + poly.size, j] = poly
     q, _ = np.linalg.qr(cols)
-    members = [mt_synthesize(q[:, i], grid) for i in range(n)]
     return SubspaceBasis(
         role="N",
         grid=grid,
         coefs=q,
-        members=members,
         model=model,
         params={"n": n, "mode": mode, "constraints": factors, "order": g_total},
         diagnostics={"working_dim": d_work},
@@ -140,7 +137,7 @@ def _eval_on_circle(coefs: np.ndarray, n_theta: int) -> np.ndarray:
     padded = np.zeros((n_theta, r), dtype=complex)
     k = np.arange(d)
     padded[:d] = coefs * np.exp(1j * np.pi * k / n_theta)[:, None]
-    return n_theta * np.fft.ifft(padded, axis=0)
+    return np.fft.ifft(padded, axis=0, norm="forward")
 
 
 def build_M_and_T(model: SMatrixModel, n_basis: SubspaceBasis, cutoff: float = 1e-6,
@@ -158,9 +155,9 @@ def build_M_and_T(model: SMatrixModel, n_basis: SubspaceBasis, cutoff: float = 1
     theta = 2 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
     lam = -1.0 / np.tan(theta / 2)
     s_vals = model.boundary(lam, "+")[:, 0, 0]
-    v_vals = _eval_on_circle(n_basis.coefs, n_theta)
-    w = s_vals[:, None] * v_vals
-    coef = np.fft.fft(w, axis=0) / n_theta
+    w = _eval_on_circle(n_basis.coefs, n_theta)
+    w *= s_vals[:, None]
+    coef = np.fft.fft(w, axis=0, norm="forward")
     d_work = n_basis.working_dim
     k = np.arange(d_work)
     m_cols = np.exp(-1j * np.pi * k / n_theta)[:, None] * coef[:d_work]
@@ -180,16 +177,10 @@ def build_M_and_T(model: SMatrixModel, n_basis: SubspaceBasis, cutoff: float = 1
         "hardy_leakage": leakage.tolist(),
         "cutoff": cutoff,
     }
-    m_basis = SubspaceBasis(
-        role="M", grid=n_basis.grid, coefs=m_coefs,
-        members=[mt_synthesize(m_coefs[:, i], n_basis.grid) for i in range(rank)],
-        model=model, params=dict(n_basis.params), diagnostics=diag,
-    )
-    t_basis = SubspaceBasis(
-        role="T", grid=n_basis.grid, coefs=t_coefs,
-        members=[mt_synthesize(t_coefs[:, i], n_basis.grid) for i in range(t_coefs.shape[1])],
-        model=model, params=dict(n_basis.params), diagnostics=diag,
-    )
+    m_basis = SubspaceBasis(role="M", grid=n_basis.grid, coefs=m_coefs, model=model,
+                            params=dict(n_basis.params), diagnostics=diag)
+    t_basis = SubspaceBasis(role="T", grid=n_basis.grid, coefs=t_coefs, model=model,
+                            params=dict(n_basis.params), diagnostics=diag)
     return m_basis, t_basis
 
 
@@ -424,23 +415,6 @@ def b_matrix(t_basis: SubspaceBasis) -> np.ndarray:
     """Exact matrix of the restricted generator on the admissible basis."""
     full = generator_matrix(t_basis.working_dim)
     return t_basis.coefs.conj().T @ full @ t_basis.coefs
-
-
-def decay_curve_to_csv(curve: DecayCurve, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "re_overlap", "im_overlap", "abs_overlap", "reference"])
-        for i, t in enumerate(curve.times):
-            ref = "" if curve.reference is None else format(curve.reference[i], ".12g")
-            writer.writerow(
-                [
-                    format(t, ".12g"),
-                    format(curve.overlaps[i].real, ".12g"),
-                    format(curve.overlaps[i].imag, ".12g"),
-                    format(abs(curve.overlaps[i]), ".12g"),
-                    ref,
-                ]
-            )
 
 
 def basis_diagnostics(basis: SubspaceBasis) -> dict:

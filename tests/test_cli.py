@@ -77,6 +77,30 @@ def test_decay_bad_times(runner, tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("sizes", [["--basis-n", "0"], ["--basis-n", "-3"],
+                                   ["--grid-n", "64", "--grid-l", "1"]])
+def test_decay_bad_sizes_exit1(runner, tmp_path, sizes):
+    result = runner.invoke(main, ["decay", "--model", "example1", *sizes, "--out", str(tmp_path)])
+    assert isinstance(result.exception, SystemExit)
+    assert result.exit_code == 1
+    assert "error: --basis-n" in result.output
+    assert not (tmp_path / "decay.csv").exists()
+
+
+@pytest.mark.parametrize("model", [
+    ["--model", "rankone", "--a", "nan"],
+    ["--model", "squarewell", "--v0", "inf", "--radius", "1"],
+    ["--model", "squarewell", "--v0", "10", "--radius", "nan"],
+    ["--model", '{"model": "rational", "poles": [[NaN, -1.0]]}'],
+])
+def test_resonances_nonfinite_parameters_exit1(runner, tmp_path, model):
+    result = runner.invoke(main, ["resonances", *model, "--out", str(tmp_path)])
+    assert isinstance(result.exception, SystemExit)
+    assert result.exit_code == 1
+    assert "finite" in result.output
+    assert not (tmp_path / "poles.json").exists()
+
+
 def test_decay_pole_free_model_exit3(runner, tmp_path):
     result = runner.invoke(main, ["decay", "--model", '{"model": "rational", "poles": []}',
                                   "--grid-n", str(2**12), "--grid-l", "100",

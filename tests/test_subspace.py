@@ -3,6 +3,8 @@ resolvent construction, and survival curves."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scatres as sr
 
@@ -38,6 +40,67 @@ def test_N_basis_rim_mode_vanishing(grid):
         val1 = (sr.mt_point_eval(nb.coefs[:, i], -1 + 1e-5)[0]
                 - sr.mt_point_eval(nb.coefs[:, i], -1 - 1e-5)[0]) / 2e-5
         assert abs(val0) < 1e-10 and abs(val1) < 1e-5
+
+
+def _fft_reference_coefs(factors, n):
+    """Constrained columns by 2^16-point FFT quadrature of the multiplied basis."""
+    d_work = n + sum(g for _, g in factors)
+
+    def multiplier(lam):
+        out = np.ones_like(lam, dtype=complex)
+        for pos, g in factors:
+            out = out * ((lam - pos) / (lam + 1j)) ** g
+        return out
+
+    cols = np.empty((d_work, n), dtype=complex)
+    for j in range(n):
+        def fn(lam, j=j):
+            return multiplier(lam) * (lam - 1j) ** j / (np.sqrt(np.pi) * (lam + 1j) ** (j + 1))
+        cols[:, j] = sr.mt_expand(fn, d_work)
+    q, _ = np.linalg.qr(cols)
+    return q
+
+
+class _RimStub(sr.SMatrixModel):
+    """Two-sheet stub that only reports rim poles."""
+
+    name = "rimstub"
+    sheet_count = 2
+
+    def __init__(self, rim):
+        self.rim = rim
+
+    def upper_rim_poles(self):
+        return self.rim
+
+
+_ORDER = st.integers(1, 2)
+_UPPER = st.lists(
+    st.tuples(st.floats(-3, 3), st.floats(0.2, 3), _ORDER),
+    max_size=3, unique_by=lambda p: (p[0], p[1]))
+# rim positions on a 0.25 lattice: rim roots sit on |t| = 1, where nearly
+# coincident ones make the constrained family ill-conditioned for any construction
+_RIM = st.lists(st.tuples(st.integers(1, 20), _ORDER), min_size=1, max_size=3,
+                unique_by=lambda p: p[0])
+
+
+@settings(max_examples=25, deadline=None)
+@given(upper=_UPPER, rim=_RIM, n=st.integers(1, 12), use_rim=st.booleans())
+def test_N_basis_matches_fft_reference(grid, upper, rim, n, use_rim):
+    if use_rim:
+        rim = sorted((-0.25 * k, g) for k, g in rim)
+        model, mode = _RimStub(rim), "rim_poles"
+        points = [pos for pos, _ in rim]
+    else:
+        poles = [complex(re, im) for re, im, g in upper for _ in range(g)]
+        model, mode = sr.RationalModel(poles), "upper_poles"
+        points = [complex(re, im) for re, im, _ in upper]
+    nb = sr.build_N_basis(model, n, mode, grid)
+    ref = _fft_reference_coefs(nb.params["constraints"], n)
+    proj = nb.coefs @ nb.coefs.conj().T
+    assert np.abs(proj - ref @ ref.conj().T).max() <= 1e-12
+    for z in points:
+        assert np.abs(sr.mt_point_eval(nb.coefs, z)).max() < 1e-10
 
 
 def test_N_basis_validation(grid):
@@ -232,17 +295,6 @@ def test_transition_curve_validation(ex1_bases, grid):
         sr.transition_curve(e, [0.0, 1.0], "decay")
     with pytest.raises(ValueError):
         sr.transition_curve(e, [0.0, 1.0], "sideways", t_basis=tb)
-
-
-def test_decay_curve_csv(tmp_path, ex1_bases, grid):
-    _, _, _, tb = ex1_bases
-    e = sr.gamov(ZETA, 1.0, grid)
-    curve = sr.transition_curve(e, [0.0, 1.0], "decay", t_basis=tb, zeta=ZETA)
-    path = tmp_path / "curve.csv"
-    sr.decay_curve_to_csv(curve, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "t,re_overlap,im_overlap,abs_overlap,reference"
-    assert len(lines) == 3
 
 
 def test_basis_diagnostics_json(ex1_bases):
