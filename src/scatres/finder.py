@@ -6,13 +6,12 @@ vectors, rim scans along the negative axis, and the conjugate-pair audit.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .smatrix import SMatrixModel, build_L
+from .smatrix import SMatrixModel, TraceClassModel, build_L
 
 __all__ = [
     "Resonance",
@@ -69,17 +68,6 @@ class ScanRegion:
             raise ValueError("rectangle crosses the cut (-inf, 0]; scan rims separately")
 
 
-def _condition_grid(model: SMatrixModel, zs: np.ndarray, sheet: int) -> np.ndarray:
-    try:
-        vals = model.pole_condition(zs, sheet)
-        return np.asarray(vals, dtype=complex)
-    except (TypeError, ValueError):
-        out = np.empty(zs.shape, dtype=complex)
-        for i, z in np.ndenumerate(zs):
-            out[i] = model.pole_condition(complex(z), sheet)
-        return out
-
-
 def winding_number(fn, center: complex, half_w: float, half_h: float,
                    n0: int = 64, max_doublings: int = 5) -> tuple[int, float]:
     """Winding of ``fn`` around a rectangle, by phase accumulation.
@@ -110,18 +98,17 @@ def winding_number(fn, center: complex, half_w: float, half_h: float,
 
 
 def scan_region(model: SMatrixModel, region: ScanRegion) -> list[complex]:
-    """Candidate pole locations: detector minima filtered by winding >= 1.
+    """Candidate pole locations: grid minima of ``|pole_condition|`` kept by winding.
 
-    The detector is the modulus of the model's analytic pole condition
-    (the smallest singular value of the resolvent kernel where a trace-class
-    structure exists, the reciprocal scattering amplitude otherwise).
-    Cells carrying winding >= 2 are subdivided until each candidate is simple
-    or the cell is irreducibly small.
+    The pole condition is sampled on the region's grid in one call; every
+    interior local minimum of its modulus is the centre of a grid cell whose
+    winding number is counted.  Cells carrying winding >= 2 are subdivided
+    until each candidate is simple or the cell is irreducibly small.
     """
     re = np.linspace(region.re_min, region.re_max, region.resolution)
     im = np.linspace(region.im_min, region.im_max, region.resolution)
     zs = re[None, :] + 1j * im[:, None]
-    det = np.abs(_condition_grid(model, zs, region.sheet))
+    det = np.abs(model.pole_condition(zs, region.sheet))
     cands: list[complex] = []
     hw = (re[1] - re[0])
     hh = (im[1] - im[0])
@@ -133,7 +120,7 @@ def scan_region(model: SMatrixModel, region: ScanRegion) -> list[complex]:
                 continue
             is_min &= interior <= det[1 + di : det.shape[0] - 1 + di,
                                       1 + dj : det.shape[1] - 1 + dj]
-    fn = lambda path: _condition_grid(model, path, region.sheet)
+    fn = lambda path: model.pole_condition(path, region.sheet)
     for i, j in zip(*np.nonzero(is_min)):
         center = complex(zs[1 + i, 1 + j])
         cands.extend(_resolve_cell(fn, center, hw, hh))
@@ -166,9 +153,8 @@ def refine(model: SMatrixModel, z0: complex, sheet: int = 1,
     it = 0
     for it in range(1, max_iter + 1):
         h = 1e-7 * max(1.0, abs(z))
-        f0 = complex(model.pole_condition(z, sheet))
-        fp = (complex(model.pole_condition(z + h, sheet))
-              - complex(model.pole_condition(z - h, sheet))) / (2 * h)
+        f0, f_plus, f_minus = model.pole_condition(np.array([z, z + h, z - h]), sheet)
+        fp = (f_plus - f_minus) / (2 * h)
         if fp == 0:
             raise RuntimeError(f"Newton derivative vanished at {z}")
         step = f0 / fp
@@ -200,7 +186,7 @@ def rim_scan(model: SMatrixModel, x_min: float, x_max: float, sheet: int,
     if x_min >= x_max or x_max > 0:
         raise ValueError("rim scans need x_min < x_max <= 0")
     xs = np.linspace(x_min, min(x_max, -1e-9), n)
-    vals = _condition_grid(model, xs.astype(complex), sheet)
+    vals = model.pole_condition(xs.astype(complex), sheet)
     if np.max(np.abs(vals.imag)) > 1e-9 * max(np.max(np.abs(vals)), 1.0):
         raise RuntimeError("rim pole condition is not real; no robust bracketing available")
     re = vals.real
@@ -215,8 +201,12 @@ def rim_scan(model: SMatrixModel, x_min: float, x_max: float, sheet: int,
 
 def _kernel_and_residual(model: SMatrixModel, zeta: complex, sheet: int | None = None):
     zeta = complex(zeta)
-    if zeta.imag == 0 and hasattr(model, "trace_data"):
-        ell, _ = build_L(model.trace_data(), zeta, sheet or 1)
+    # trace-class S exists only on the positive axis, so its kernels come from L
+    data = model.data if isinstance(model, TraceClassModel) else None
+    if data is None and zeta.imag == 0 and hasattr(model, "trace_data"):
+        data = model.trace_data()
+    if data is not None:
+        ell, _ = build_L(data, zeta, sheet or 1)
         _, s, vh = np.linalg.svd(ell)
         k, val = vh[-1].conj(), float(s[-1])
     elif zeta.imag == 0 and model.sheet_count == 2:
@@ -293,7 +283,9 @@ def find_resonances(model: SMatrixModel, regions: list[ScanRegion] | None = None
         for cand in scan_region(model, region):
             try:
                 res = refine(model, cand, region.sheet)
-            except RuntimeError:
+            except NotImplementedError:
+                raise
+            except RuntimeError:  # Newton failed or left the continuation domain
                 continue
             found.append(res)
     if rims and model.sheet_count == 2:

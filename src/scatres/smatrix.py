@@ -55,25 +55,31 @@ def momentum(z, sheet: int):
 
 
 class SMatrixModel:
-    """Evaluation contract for a scattering matrix on labeled sheets."""
+    """Evaluation contract for a scattering matrix on labeled sheets.
+
+    ``eval`` and ``pole_condition`` take a scalar or an array ``z`` and return
+    arrays of shape ``z.shape + (m, m)`` and ``z.shape``, so that scan grids,
+    contours and boundary samples are evaluated in one call.
+    """
 
     name: str = "abstract"
     dim_k: int = 1
     sheet_count: int = 1
 
     # -- required --------------------------------------------------------
-    def eval(self, z: complex, sheet: int = 1) -> np.ndarray:
+    def eval(self, z, sheet: int = 1) -> np.ndarray:
+        """Scattering matrix on the given sheet; shape ``z.shape + (m, m)``."""
         raise NotImplementedError
 
-    def pole_condition(self, z: complex, sheet: int = 1) -> complex:
-        """Scalar analytic function vanishing exactly at the poles of the sheet."""
+    def pole_condition(self, z, sheet: int = 1):
+        """Analytic function vanishing exactly at the poles of the sheet; shape ``z.shape``."""
         raise NotImplementedError
 
     # -- shared ----------------------------------------------------------
-    def _check_sheet(self, z: complex, sheet: int):
+    def _check_sheet(self, z, sheet: int):
         if sheet not in (1, 2) or sheet > self.sheet_count:
             raise ValueError(f"invalid sheet {sheet} for model {self.name}")
-        if z == 0 and self.sheet_count == 2:
+        if self.sheet_count == 2 and np.any(np.asarray(z) == 0):
             raise ValueError("z = 0 is the branch point")
 
     def boundary(self, lam, side: str = "+") -> np.ndarray:
@@ -86,16 +92,10 @@ class SMatrixModel:
         """
         if side not in ("+", "-"):
             raise ValueError(f"side must be '+' or '-', got {side!r}")
-        sheet = 1 if (side == "+" or self.sheet_count == 1) else 2
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        safe = np.where(lam == 0.0, 1e-12, lam)
-        try:
-            return np.asarray(self.eval(safe, sheet), dtype=complex)
-        except (NotImplementedError, TypeError):
-            out = np.empty(lam.shape + (self.dim_k, self.dim_k), dtype=complex)
-            for i, x in enumerate(safe):
-                out[i] = self.eval(complex(x), sheet)
-            return out
+        if self.sheet_count == 1:
+            return self.eval(lam, 1)
+        return self.eval(np.where(lam == 0.0, 1e-12, lam), 1 if side == "+" else 2)
 
     def eval_physical(self, z: complex) -> np.ndarray:
         """Value on the physical surface: sheet 1 for Im z >= 0, else sheet 2."""
@@ -142,13 +142,7 @@ class RationalModel(SMatrixModel):
         s = np.ones_like(z)
         for p in self.poles:
             s = s * (z - np.conj(p)) / (z - p)
-        return s.reshape(z.shape + (1, 1)) if z.shape else np.array([[complex(s)]])
-
-    def boundary(self, lam, side: str = "+"):
-        if side not in ("+", "-"):
-            raise ValueError(f"side must be '+' or '-', got {side!r}")
-        lam = np.atleast_1d(np.asarray(lam, dtype=complex))
-        return self.eval(lam, 1)
+        return s.reshape(z.shape + (1, 1))
 
     def pole_condition(self, z, sheet: int = 1):
         z = np.asarray(z, dtype=complex)
@@ -201,12 +195,12 @@ class RankOneModel(SMatrixModel):
         self.name = f"rankone(a={self.a:g})"
 
     def eval(self, z, sheet: int = 1):
-        self._check_sheet(np.asarray(z).flat[0] if np.ndim(z) else z, sheet)
+        self._check_sheet(z, sheet)
         z = np.asarray(z, dtype=complex)
         k = momentum(z, sheet)
         a = self.a
         s = 1 - 4j * a * k / ((1 + 1j * k) ** 2 * (a + (1 - 1j * k) ** 2))
-        return s.reshape(z.shape + (1, 1)) if z.shape else np.array([[complex(s)]])
+        return s.reshape(z.shape + (1, 1))
 
     def l_value(self, z, sheet: int = 1):
         return 1 - self.a * rankone_resolvent_elem(z, sheet)
@@ -290,11 +284,11 @@ class SquareWellModel(SMatrixModel):
         self.name = f"squarewell(v0={self.v0:g}, a={self.radius:g})"
 
     def eval(self, z, sheet: int = 1):
-        self._check_sheet(np.asarray(z).flat[0] if np.ndim(z) else z, sheet)
+        self._check_sheet(z, sheet)
         z = np.asarray(z, dtype=complex)
         k = momentum(z, sheet)
         s = jost_F(-k, self.v0, self.radius) / jost_F(k, self.v0, self.radius)
-        return s.reshape(z.shape + (1, 1)) if z.shape else np.array([[complex(s)]])
+        return s.reshape(z.shape + (1, 1))
 
     def pole_condition(self, z, sheet: int = 1):
         return jost_F(momentum(z, sheet), self.v0, self.radius)
@@ -307,7 +301,7 @@ class SquareWellModel(SMatrixModel):
             return float(np.real(jost_F(1j * kap, self.v0, self.radius)))
 
         grid = np.linspace(1e-9, kmax * (1 - 1e-12), 800)
-        vals = [g(x) for x in grid]
+        vals = np.real(jost_F(1j * grid, self.v0, self.radius))
         roots = []
         for x1, x2, v1, v2 in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
             if v1 == 0.0:
@@ -321,45 +315,6 @@ class SquareWellModel(SMatrixModel):
 
     def upper_half_poles(self):
         return []
-
-    def resonance_momenta(self, n_lowest: int = 4, re_max: float = 16.0,
-                          im_min: float = -4.0) -> list[complex]:
-        """Lowest fourth-quadrant Jost zeros, by winding counts plus Newton."""
-        from .finder import winding_number
-
-        def f(k):
-            return jost_F(k, self.v0, self.radius)
-
-        re = np.linspace(0.05, re_max, 160)
-        im = np.linspace(im_min, -0.01, 80)
-        kk = re[None, :] + 1j * im[:, None]
-        vals = np.abs(f(kk))
-        interior = vals[1:-1, 1:-1]
-        is_min = np.ones_like(interior, dtype=bool)
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                if di == dj == 0:
-                    continue
-                is_min &= interior <= vals[1 + di : vals.shape[0] - 1 + di,
-                                           1 + dj : vals.shape[1] - 1 + dj]
-        zeros: list[complex] = []
-        for i, j in zip(*np.nonzero(is_min)):
-            k0 = complex(kk[1 + i, 1 + j])
-            w, _ = winding_number(f, k0, re[1] - re[0], im[1] - im[0])
-            if w < 1:
-                continue
-            z = k0
-            for _ in range(60):
-                h = 1e-7 * max(1.0, abs(z))
-                deriv = (f(z + h) - f(z - h)) / (2 * h)
-                step = f(z) / deriv
-                z = z - step
-                if abs(step) < 1e-13:
-                    break
-            if all(abs(z - u) > 1e-8 for u in zeros):
-                zeros.append(complex(z))
-        zeros.sort(key=abs)
-        return zeros[:n_lowest]
 
 
 # ---------------------------------------------------------------------------
@@ -440,30 +395,45 @@ def rankone_trace_data(a: float, k_max: float = 2000.0) -> TraceClassData:
                           c_fun=c_fun, tail_bound=tail)
 
 
-def trace_T(data: TraceClassData, z: complex, tail_tol: float = 1e-10) -> np.ndarray:
-    """Quadrature of ``int A(lam)* B(lam) / (z - lam) dlam`` for z off the positive axis."""
-    z = complex(z)
-    if z.imag == 0 and z.real >= 0:
+# cap on the complex entries of one (points x nodes) quadrature temporary
+_BLOCK_ENTRIES = 2**16
+
+
+def trace_T(data: TraceClassData, z, tail_tol: float = 1e-10) -> np.ndarray:
+    """Quadrature of ``int A(lam)* B(lam) / (z - lam) dlam`` for z off the positive axis.
+
+    ``z`` is a scalar or an array; the result has shape ``z.shape + (p, p)``.
+    The quadrature is one ``(Z x Q) @ (Q x p^2)`` product against the sampled
+    cross term, taken over blocks of ``z`` so that no temporary holds more than
+    ``_BLOCK_ENTRIES`` complex entries.
+    """
+    z = np.asarray(z, dtype=complex)
+    if np.any((z.imag == 0) & (z.real >= 0)):
         raise ValueError("trace_T needs z off [0, inf); use trace_T_boundary for rims of R+")
-    denom = z - data.lam
-    t = np.einsum("q,qij->ij", data.weights / denom, data._cross)
-    if data.tail_bound:
-        dist = max(abs(z - data.lam[-1]), 1.0)
-        if data.tail_bound / dist > tail_tol:
+    zf = z.reshape(-1)
+    q, p = data.lam.size, data.aux_dim
+    cross = data._cross.reshape(q, p * p)
+    out = np.empty((zf.size, p * p), dtype=complex)
+    step = max(1, _BLOCK_ENTRIES // q)
+    for lo in range(0, zf.size, step):
+        kern = zf[lo : lo + step, None] - data.lam
+        np.divide(data.weights, kern, out=kern)
+        out[lo : lo + step] = kern @ cross
+    if data.tail_bound and zf.size:
+        dist = np.maximum(np.abs(zf - data.lam[-1]), 1.0)
+        if np.any(data.tail_bound / dist > tail_tol):
             warnings.warn("trace_T tail estimate exceeds tolerance; enlarge the grid")
-    return t
+    return out.reshape(z.shape + (p, p))
 
 
-def _jump_momentum(z: complex) -> complex:
+def _jump_momentum(z) -> np.ndarray:
     """Branch of the momentum entering the continuation jump term.
 
     Continuation across the positive axis keeps the principal square root;
     negative real arguments are resolved on the lower rim (sheet two).
     """
-    z = complex(z)
-    if z.imag == 0 and z.real < 0:
-        return -1j * np.sqrt(-z)
-    return complex(np.sqrt(z))
+    z = np.asarray(z, dtype=complex)
+    return np.where((z.imag == 0) & (z.real < 0), -1j * np.sqrt(-z), np.sqrt(z))
 
 
 def trace_T_boundary(data: TraceClassData, mu: float, side: str, eps: float = 5e-3) -> np.ndarray:
@@ -511,30 +481,38 @@ def _trace_boundary_sampled(data: TraceClassData, mu: float, side: str) -> np.nd
     return pv - jump if side == "+" else pv + jump
 
 
-def build_L(data: TraceClassData, z: complex, sheet: int = 1) -> tuple[np.ndarray, float]:
+def build_L(data: TraceClassData, z, sheet: int = 1):
     """Resolvent-kernel matrix ``L`` on the chosen sheet and its smallest singular value.
 
     Sheet one is ``I - T(z)`` on the cut plane; sheet two adds the continuation
     jump ``+2*pi*i*C(z)`` below the axis (validated against the rank-one closed
-    form) and ``-2*pi*i*C(z)`` above it.
+    form) and ``-2*pi*i*C(z)`` above it.  ``z`` is a scalar or an array: ``L``
+    has shape ``z.shape + (p, p)`` and the singular values ``z.shape`` (a float
+    for scalar ``z``).  Only points on ``[0, inf)`` are taken one at a time,
+    through ``trace_T_boundary``.
     """
-    z = complex(z)
     if sheet not in (1, 2):
         raise ValueError(f"sheet must be 1 or 2, got {sheet}")
+    z = np.asarray(z, dtype=complex)
+    zf = z.reshape(-1)
     p = data.aux_dim
     eye = np.eye(p, dtype=complex)
-    if z.imag == 0 and z.real >= 0:
-        ell = eye - trace_T_boundary(data, z.real, "+" if sheet == 1 else "-")
-    else:
+    ell = np.empty((zf.size, p, p), dtype=complex)
+    on_axis = (zf.imag == 0) & (zf.real >= 0)
+    off = zf[~on_axis]
+    if off.size:
         if sheet == 2 and data.c_fun is None:
             raise ValueError("sheet-two evaluation needs an analytic form-factor continuation")
-        ell = eye - trace_T(data, z)
+        ell_off = eye - trace_T(data, off)
         if sheet == 2:
-            k = _jump_momentum(z)
-            c = np.squeeze(data.c_fun(np.array([k])), axis=0)
-            ell = ell + (2j * np.pi * c if z.imag <= 0 else -2j * np.pi * c)
-    smin = float(np.linalg.svd(ell, compute_uv=False)[-1])
-    return ell, smin
+            jump = np.where(off.imag <= 0, 2j * np.pi, -2j * np.pi)
+            ell_off += jump[:, None, None] * data.c_fun(_jump_momentum(off))
+        ell[~on_axis] = ell_off
+    for i in np.flatnonzero(on_axis):
+        ell[i] = eye - trace_T_boundary(data, zf[i].real, "+" if sheet == 1 else "-")
+    ell = ell.reshape(z.shape + (p, p))
+    smin = np.linalg.svd(ell, compute_uv=False)[..., -1]
+    return ell, (float(smin) if z.ndim == 0 else smin)
 
 
 class TraceClassModel(SMatrixModel):
@@ -553,14 +531,18 @@ class TraceClassModel(SMatrixModel):
         self.name = name
 
     def eval(self, z, sheet: int = 1):
-        z = complex(np.asarray(z).flat[0]) if np.ndim(z) else complex(z)
         self._check_sheet(z, sheet)
-        if z.imag == 0 and z.real > 0:
-            return self._boundary_point(z.real, "+" if sheet == 1 else "-")
-        raise NotImplementedError(
-            "off-axis S values for trace-class data are defined through build_L; "
-            "use the dedicated models for closed-form continuation"
-        )
+        z = np.asarray(z, dtype=complex)
+        if np.any((z.imag != 0) | (z.real <= 0)):
+            raise NotImplementedError(
+                "off-axis S values for trace-class data are defined through build_L; "
+                "use the dedicated models for closed-form continuation"
+            )
+        side = "+" if sheet == 1 else "-"
+        out = np.empty(z.shape + (self.dim_k, self.dim_k), dtype=complex)
+        for idx in np.ndindex(z.shape):
+            out[idx] = self._boundary_point(z[idx].real, side)
+        return out
 
     def _boundary_point(self, mu: float, side: str):
         ell = np.eye(self.data.aux_dim, dtype=complex) - trace_T_boundary(self.data, mu, side)
@@ -570,8 +552,7 @@ class TraceClassModel(SMatrixModel):
         return np.eye(self.dim_k, dtype=complex) - 2j * np.pi * b @ np.linalg.solve(ell, a.conj().T)
 
     def pole_condition(self, z, sheet: int = 1):
-        ell, _ = build_L(self.data, z, sheet)
-        return complex(np.linalg.det(ell))
+        return np.linalg.det(build_L(self.data, z, sheet)[0])
 
 
 # ---------------------------------------------------------------------------

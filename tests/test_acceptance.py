@@ -219,7 +219,10 @@ def test_criterion_12_square_well():
     bound_err = max(abs(c - o) for c, o in zip(closed, oracle))
     _report(12, "bound states: matching formula vs shooting oracle", bound_err, 1e-6)
 
-    zeros = well.resonance_momenta(n_lowest=4, re_max=16.0, im_min=-4.0)
+    # the finder's sheet-2 zeros of the pole condition, as fourth-quadrant momenta
+    found = sr.find_resonances(well, regions=[sr.ScanRegion(0.05, 200, -100, -0.01, sheet=2)],
+                               rims=False)
+    zeros = sorted((complex(sr.momentum(r.zeta, 2)) for r in found), key=abs)[:4]
     assert len(zeros) == 4
     worst = 0.0
     for k in zeros:

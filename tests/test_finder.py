@@ -110,6 +110,27 @@ def test_find_resonances_squarewell_rims():
     assert abs(bound[0].zeta - (-well.bound_state_momenta()[0] ** 2)) < 1e-8
 
 
+def test_find_resonances_traceclass_off_axis():
+    for a in (0.25, 1.0, 4.0):
+        found = sr.find_resonances(sr.TraceClassModel(sr.rankone_trace_data(a)))
+        res = [r for r in found if r.kind == "resonance"]
+        assert len(res) == 1 and res[0].sheet == 2
+        assert abs(res[0].zeta - (a - 1 - 2j * np.sqrt(a))) < 1e-8
+        assert res[0].residual < 1e-10
+
+
+class _NoOffAxisS(sr.SMatrixModel):
+    """Pole condition with a zero at 1 - i, but no scattering matrix to classify it."""
+
+    def pole_condition(self, z, sheet=1):
+        return np.asarray(z, dtype=complex) - (1 - 1j)
+
+
+def test_find_resonances_propagates_not_implemented():
+    with pytest.raises(NotImplementedError):
+        sr.find_resonances(_NoOffAxisS())
+
+
 def test_exports(tmp_path):
     found = sr.find_resonances(sr.RankOneModel(1.0))
     records = sr.resonances_to_json(found)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
@@ -137,6 +139,70 @@ def test_kernel_unification_with_quadratic_formula():
             sheet = 1 if k.imag > 0 else 2
             _, smin = sr.build_L(data, z, sheet)
             assert smin < 1e-8
+
+
+def test_traceclass_boundary_is_batched():
+    m = sr.TraceClassModel(sr.rankone_trace_data(1.0))
+    lams = np.array([1.0, 2.0, 3.0])
+    for side, sheet in (("+", 1), ("-", 2)):
+        s = m.boundary(lams, side)
+        assert s.shape == (3, 1, 1)
+        for i, lam in enumerate(lams):
+            assert np.array_equal(s[i], m.eval(lam, sheet))
+
+
+# Array contract: a batched call equals the loop of scalar calls.  Values are
+# compared relative to max(|value|, 1), because the trace-class quadrature sums
+# O(1) terms whose order differs between the two calls; at a pole of S both
+# calls must be non-finite.
+_CONTRACT_MODELS = [
+    sr.example1(),
+    sr.RankOneModel(1.0),
+    sr.RankOneModel(-2.0),
+    sr.SquareWellModel(10.0, 1.0),
+    sr.TraceClassModel(sr.rankone_trace_data(1.0)),
+]
+_OFF_AXIS = st.tuples(st.floats(-8, 8), st.floats(0.05, 8), st.sampled_from([1, -1])).map(
+    lambda t: complex(t[0], t[1] * t[2]))
+
+
+def _assert_matches_loop(batch, loop):
+    loop = np.asarray(loop)
+    assert batch.shape == loop.shape
+    finite = np.isfinite(loop)
+    assert np.array_equal(np.isfinite(batch), finite)
+    err = np.abs(batch - loop)[finite]
+    assert np.all(err <= 1e-12 * np.maximum(np.abs(loop[finite]), 1.0))
+
+
+@settings(max_examples=30, deadline=None)
+@given(zs=st.lists(_OFF_AXIS, min_size=1, max_size=12))
+def test_pole_condition_array_contract(zs):
+    zs = np.array(zs)
+    for model in _CONTRACT_MODELS:
+        for sheet in range(1, model.sheet_count + 1):
+            loop = [complex(model.pole_condition(z, sheet)) for z in zs]
+            _assert_matches_loop(model.pole_condition(zs, sheet), loop)
+            if not isinstance(model, sr.TraceClassModel):  # off-axis S needs closed forms
+                _assert_matches_loop(model.eval(zs, sheet), [model.eval(z, sheet) for z in zs])
+
+
+@settings(max_examples=10, deadline=None)
+@given(head=st.lists(_OFF_AXIS, min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1),
+       sheet=st.sampled_from([1, 2]))
+def test_trace_T_build_L_span_blocks(head, seed, sheet):
+    data = sr.rankone_trace_data(1.0)
+    block = sr.smatrix._BLOCK_ENTRIES // data.lam.size
+    rng = np.random.default_rng(seed)
+    n = block + 1 + int(rng.integers(0, block))
+    tail = rng.uniform(-8, 8, n) + 1j * rng.uniform(0.05, 8, n) * rng.choice([-1, 1], n)
+    zs = np.concatenate([head, tail])
+    _assert_matches_loop(sr.trace_T(data, zs), [sr.trace_T(data, z) for z in zs])
+    zs = np.concatenate([zs, [1.5, 4.0]])  # points on [0, inf) take the boundary path
+    ell, smin = sr.build_L(data, zs, sheet)
+    loop = [sr.build_L(data, z, sheet) for z in zs]
+    _assert_matches_loop(ell, [e for e, _ in loop])
+    _assert_matches_loop(smin, [s for _, s in loop])
 
 
 def test_two_sheet_boundary_relation():
