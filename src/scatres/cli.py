@@ -44,7 +44,7 @@ def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -146,11 +146,7 @@ def cmd_resonances(model, a, v0, radius, region, sheet, out_dir):
     records = finder.resonances_to_json(found)
     payload = {"model": mdl.name, "audit_ok": audit.ok, "resonances": records}
     _atomic_write(os.path.join(out_dir, "poles.json"), _fmt_json(payload) + "\n")
-    csv_path = os.path.join(out_dir, "poles.csv")
-    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
-    os.close(fd)
-    finder.resonances_to_csv(found, tmp)
-    os.replace(tmp, csv_path)
+    _atomic_write(os.path.join(out_dir, "poles.csv"), finder.resonances_csv_text(found))
     click.echo(f"{'zeta':>28}  {'sheet':>5}  {'kind':>12}  {'residual':>10}")
     for r in found:
         click.echo(f"{r.zeta.real:+.6f}{r.zeta.imag:+.6f}i".rjust(28)
@@ -176,7 +172,8 @@ def cmd_decay(model, a, v0, radius, grid_n, grid_l, basis_n, times, out_dir):
     for the normalized decaying eigenvector, 12 significant digits.
 
     Exit code 1 flags a bad configuration, including a basis size outside
-    [1, grid-n/2]; exit code 3 a trivial admissible subspace (no resonances).
+    [1, grid-n/2]; exit code 2 a decay computation failure (S·N not finite);
+    exit code 3 a trivial admissible subspace (no resonances).
     """
     try:
         mdl = _parse_model(model, a, v0, radius)
@@ -197,7 +194,11 @@ def cmd_decay(model, a, v0, radius, grid_n, grid_l, basis_n, times, out_dir):
         sys.exit(1)
     mode = "upper_poles" if mdl.sheet_count == 1 else "rim_poles"
     nb = subspace.build_N_basis(mdl, basis_n, mode, grid)
-    _, tb = subspace.build_M_and_T(mdl, nb)
+    try:
+        _, tb = subspace.build_M_and_T(mdl, nb)
+    except FloatingPointError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
     if tb.dim == 0 or not resonances:
         click.echo("admissible subspace is trivial: no resonances to evolve", err=True)
         sys.exit(3)

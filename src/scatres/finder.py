@@ -6,6 +6,7 @@ vectors, rim scans along the negative axis, and the conjugate-pair audit.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,7 @@ __all__ = [
     "AuditReport",
     "find_resonances",
     "resonances_to_json",
+    "resonances_csv_text",
     "resonances_to_csv",
 ]
 
@@ -189,13 +191,12 @@ def rim_scan(model: SMatrixModel, x_min: float, x_max: float, sheet: int,
     vals = model.pole_condition(xs.astype(complex), sheet)
     if np.max(np.abs(vals.imag)) > 1e-9 * max(np.max(np.abs(vals)), 1.0):
         raise RuntimeError("rim pole condition is not real; no robust bracketing available")
-    re = vals.real
+    v = vals.real
     found = []
-    for x1, x2, v1, v2 in zip(xs[:-1], xs[1:], re[:-1], re[1:]):
-        if v1 == 0.0 or v1 * v2 < 0:
-            root = brentq(lambda x: float(np.real(model.pole_condition(complex(x), sheet))),
-                          x1, x2, xtol=1e-14)
-            found.append(_classify(model, complex(root), sheet, 0))
+    for i in np.flatnonzero((v[:-1] == 0) | (v[:-1] * v[1:] < 0)):
+        root = brentq(lambda x: float(np.real(model.pole_condition(complex(x), sheet))),
+                      xs[i], xs[i + 1], xtol=1e-14)
+        found.append(_classify(model, complex(root), sheet, 0))
     return found
 
 
@@ -302,17 +303,16 @@ def resonances_to_json(resonances: list[Resonance]) -> list[dict]:
     return [r.as_record() for r in resonances]
 
 
+def resonances_csv_text(resonances: list[Resonance]) -> str:
+    """poles.csv: re_zeta, im_zeta, sheet, kind, residual (12 significant digits)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["re_zeta", "im_zeta", "sheet", "kind", "residual"])
+    writer.writerows([format(r.zeta.real, ".12g"), format(r.zeta.imag, ".12g"), r.sheet, r.kind,
+                      format(r.residual, ".12g")] for r in resonances)
+    return buf.getvalue()
+
+
 def resonances_to_csv(resonances: list[Resonance], path) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re_zeta", "im_zeta", "sheet", "kind", "residual"])
-        for r in resonances:
-            writer.writerow(
-                [
-                    format(r.zeta.real, ".12g"),
-                    format(r.zeta.imag, ".12g"),
-                    r.sheet,
-                    r.kind,
-                    format(r.residual, ".12g"),
-                ]
-            )
+        fh.write(resonances_csv_text(resonances))

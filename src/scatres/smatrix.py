@@ -303,11 +303,11 @@ class SquareWellModel(SMatrixModel):
         grid = np.linspace(1e-9, kmax * (1 - 1e-12), 800)
         vals = np.real(jost_F(1j * grid, self.v0, self.radius))
         roots = []
-        for x1, x2, v1, v2 in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-            if v1 == 0.0:
-                roots.append(float(x1))
-            elif v1 * v2 < 0:
-                roots.append(float(brentq(g, x1, x2, xtol=1e-14)))
+        for i in np.flatnonzero((vals[:-1] == 0) | (vals[:-1] * vals[1:] < 0)):
+            if vals[i] == 0:
+                roots.append(float(grid[i]))
+            else:
+                roots.append(float(brentq(g, grid[i], grid[i + 1], xtol=1e-14)))
         return roots
 
     def upper_rim_poles(self):

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .hardy import (
     Grid,
@@ -131,40 +132,43 @@ def build_N_basis(model: SMatrixModel, n: int, mode: str, grid: Grid) -> Subspac
     )
 
 
-def _eval_on_circle(coefs: np.ndarray, n_theta: int) -> np.ndarray:
-    """Values of ``sum_k c_k e^{i k theta}`` on the offset circle grid; (NT, r)."""
-    d, r = coefs.shape
-    padded = np.zeros((n_theta, r), dtype=complex)
-    k = np.arange(d)
-    padded[:d] = coefs * np.exp(1j * np.pi * k / n_theta)[:, None]
-    return np.fft.ifft(padded, axis=0, norm="forward")
-
-
 def build_M_and_T(model: SMatrixModel, n_basis: SubspaceBasis, cutoff: float = 1e-6,
                   n_theta: int = N_THETA) -> tuple[SubspaceBasis, SubspaceBasis]:
     """Image subspace ``M = S*N`` and its orthogonal complement T.
 
-    The boundary operator acts as a pointwise multiplier on the circle; member
-    images are re-expanded over the truncation by FFT, orthonormalized with a
-    rank-revealing SVD, and T is the complementary frame.  Products stay
-    bounded at rim poles because the N members vanish there.
+    With ``phi_j <-> e^{ij theta}``, multiplying by ``S`` maps coefficients
+    ``c_j`` to ``sum_j s_{k-j} c_j``, a Toeplitz matrix of the circle
+    coefficients ``s_q`` of ``S`` (one FFT on the ``n_theta``-point offset
+    circle).  Rows ``k >= 0`` span M, orthonormalized by a rank-revealing SVD
+    with T the complementary frame; rows ``k < 0`` give the lower-Hardy
+    leakage.  Products stay bounded at rim poles because the N members vanish
+    there, but ``s_q`` carries the full height of those peaks (``|S|`` reaches
+    1e11 on the circle): the FFT and the product run in extended precision,
+    else their double roundoff leaves errors of ``eps*max|S|``, about 1e-10
+    of the largest singular value.  Raises ``FloatingPointError`` when
+    ``S*N`` overflows.
     """
     _require_scalar(model)
     if n_basis.role != "N":
         raise ValueError("build_M_and_T expects the constrained basis")
     theta = 2 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
     lam = -1.0 / np.tan(theta / 2)
-    s_vals = model.boundary(lam, "+")[:, 0, 0]
-    w = _eval_on_circle(n_basis.coefs, n_theta)
-    w *= s_vals[:, None]
-    coef = np.fft.fft(w, axis=0, norm="forward")
+    s_vals = model.boundary(lam, "+")[:, 0, 0].astype(np.clongdouble)
     d_work = n_basis.working_dim
-    k = np.arange(d_work)
-    m_cols = np.exp(-1j * np.pi * k / n_theta)[:, None] * coef[:d_work]
-    # continuum lower-Hardy leakage of the images, from the negative indices
-    q_neg = np.arange(1, min(d_work, n_theta - d_work))
-    neg = np.exp(1j * np.pi * q_neg / n_theta)[:, None] * coef[n_theta - q_neg]
-    leakage = np.linalg.norm(neg, axis=0) / np.maximum(np.linalg.norm(m_cols, axis=0), 1e-300)
+    # s_q for q = -2(D-1) .. D-1; the offset grid makes the wrap anti-periodic
+    q = np.arange(-2 * (d_work - 1), d_work)
+    s_hat = (np.fft.fft(s_vals, norm="forward")[q % n_theta]
+             * np.exp(-1j * np.pi * q.astype(np.longdouble) / n_theta))
+    # rows k = -(D-1) .. D-1 of the image coefficients; overflow is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = (toeplitz(s_hat[d_work - 1:], s_hat[d_work - 1::-1])
+                  @ n_basis.coefs).astype(complex)
+        m_cols = images[d_work - 1:]
+        leakage = (np.linalg.norm(images[:d_work - 1], axis=0)
+                   / np.maximum(np.linalg.norm(m_cols, axis=0), 1e-300))
+    if not (np.all(np.isfinite(m_cols)) and np.all(np.isfinite(leakage))):
+        raise FloatingPointError(f"model {model.name}: S·N overflows on the circle, so its "
+                                 "singular values and Hardy leakage are not finite")
 
     u, s, _ = np.linalg.svd(m_cols, full_matrices=True)
     rank = int(np.sum(s >= cutoff * s[0])) if s.size else 0

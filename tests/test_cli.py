@@ -109,6 +109,17 @@ def test_decay_pole_free_model_exit3(runner, tmp_path):
     assert not (tmp_path / "decay.csv").exists()
 
 
+def test_decay_overflowing_model_exit2(runner, tmp_path):
+    # |S| of this well reaches 1.6e173 on the circle, so S·N overflows
+    result = runner.invoke(main, ["decay", "--model", "squarewell", "--v0", "10",
+                                  "--radius", "1", "--out", str(tmp_path)])
+    assert isinstance(result.exception, SystemExit)
+    assert result.exit_code == 2
+    assert "error: model squarewell" in result.output
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "decay.csv").exists()
+
+
 def test_verify_hardy_passes(runner, tmp_path):
     result = runner.invoke(main, ["verify", "--suite", "hardy", "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output

@@ -103,6 +103,58 @@ def test_N_basis_matches_fft_reference(grid, upper, rim, n, use_rim):
         assert np.abs(sr.mt_point_eval(nb.coefs, z)).max() < 1e-10
 
 
+def _circle_reference_M_and_T(model, nb, cutoff=1e-6, n_theta=2**16):
+    """M/T split by sampling S and every N column on the circle, one FFT per column.
+
+    Runs in extended precision: near rim poles |S| reaches 1e11 on the circle,
+    and the double roundoff of the N samples there alone moves the singular
+    values by up to 2.6e-10 of s[0] (a = -3.75, n = 1).
+    """
+    theta = 2 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
+    lam = -1.0 / np.tan(theta / 2)
+    d = nb.working_dim
+    k = np.arange(d)
+    phase = np.exp(1j * np.pi * k.astype(np.longdouble) / n_theta)
+    padded = np.zeros((n_theta, nb.dim), dtype=np.clongdouble)
+    padded[:d] = nb.coefs * phase[:, None]
+    w = np.fft.ifft(padded, axis=0, norm="forward") * model.boundary(lam, "+")[:, 0, :]
+    coef = np.fft.fft(w, axis=0, norm="forward")
+    m_cols = (phase.conj()[:, None] * coef[:d]).astype(complex)
+    neg = (phase[1:, None] * coef[n_theta - k[1:]]).astype(complex)
+    leakage = np.linalg.norm(neg, axis=0) / np.linalg.norm(m_cols, axis=0)
+    u, s, _ = np.linalg.svd(m_cols)
+    rank = int(np.sum(s >= cutoff * s[0]))
+    return u[:, :rank], u[:, rank:], s, leakage
+
+
+_POLES = st.lists(st.tuples(st.floats(-3, 3), st.floats(0.2, 3), st.booleans()),
+                  max_size=4, unique_by=lambda p: (p[0], p[1]))
+# a = k/4 except a = 0 (no coupling) and a = -4, where the bound state meets the
+# double form-factor rim pole at -1: there the T projectors from 2^18- and
+# 2^19-point circles already differ by 2e-4 (n = 32), for either construction
+_COUPLING = st.integers(-40, 40).filter(lambda k: k not in (0, -16))
+
+
+@settings(max_examples=25, deadline=None)
+@given(poles=_POLES, k=_COUPLING, n=st.integers(1, 12), use_rankone=st.booleans())
+def test_M_and_T_matches_circle_reference(grid, poles, k, n, use_rankone):
+    if use_rankone:
+        # S grows near the rim poles, which amplifies roundoff in either construction
+        model, mode, tol = sr.RankOneModel(k / 4), "rim_poles", 1e-8
+    else:
+        model = sr.RationalModel([complex(re, im if up else -im) for re, im, up in poles])
+        mode, tol = "upper_poles", 1e-10
+    nb = sr.build_N_basis(model, n, mode, grid)
+    mb, tb = sr.build_M_and_T(model, nb)
+    m_ref, t_ref, s_ref, leak_ref = _circle_reference_M_and_T(model, nb)
+    for basis, ref in ((mb, m_ref), (tb, t_ref)):
+        assert basis.dim == ref.shape[1]
+        assert np.abs(basis.coefs @ basis.coefs.conj().T - ref @ ref.conj().T).max() <= tol
+    assert np.abs(np.array(mb.diagnostics["hardy_leakage"]) - leak_ref).max() <= tol
+    s = np.array(mb.diagnostics["singular_values"])
+    assert np.abs(s - s_ref).max() <= 1e-10 * s_ref[0]
+
+
 def test_N_basis_validation(grid):
     with pytest.raises(ValueError):
         sr.build_N_basis(sr.example1(), 0, "upper_poles", grid)
