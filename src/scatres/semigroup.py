@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import qr
 
 from .hardy import (
     Grid,
@@ -109,15 +110,13 @@ class IsometryPair:
     def largest_retained(self) -> float:
         return float(self.singular_values.max())
 
+    # q^H f and w^H f are taken as conj(q^T conj(f)): only the n x m input is
+    # conjugated, never the n x r factor
     def forward(self, f: GridFunction) -> GridFunction:
-        wsamp = np.sqrt(f.grid.spacing) * f.samples
-        c = self._q.conj().T @ wsamp
-        return GridFunction(f.grid, (self._w @ c) / np.sqrt(f.grid.spacing))
+        return GridFunction(f.grid, self._w @ (self._q.T @ f.samples.conj()).conj())
 
     def adjoint(self, f: GridFunction) -> GridFunction:
-        wsamp = np.sqrt(f.grid.spacing) * f.samples
-        c = self._w.conj().T @ wsamp
-        return GridFunction(f.grid, (self._q @ c) / np.sqrt(f.grid.spacing))
+        return GridFunction(f.grid, self._q @ (self._w.T @ f.samples.conj()).conj())
 
     def initial_vectors(self) -> list:
         """Orthonormal grid functions spanning the retained initial space."""
@@ -129,26 +128,37 @@ class IsometryPair:
 
 
 def build_polar_isometry(
-    grid: Grid, m: int = 1, rank_budget: int = 48, cutoff: float = 1e-8
+    grid: Grid, rank_budget: int = 48, cutoff: float = 1e-8
 ) -> IsometryPair:
-    """SVD polar factor of the half-line-projected Hardy basis.
+    """SVD polar factor of the half-line-projected Hardy basis, by a two-block QR.
 
-    The truncated basis is orthonormalized in the grid metric, projected onto
-    the positive half line, and the partial isometry is the product of the two
-    singular frames with singular values below ``cutoff * sigma_max`` dropped.
-    The same matrices act on every multiplicity component.
+    The grid puts lam < 0 in its first n/2 rows, so the truncated basis splits
+    as ``Phi = [Q- R-; Q+ R+]`` by one economic Householder QR per half line,
+    and one small QR of the stacked ``[R-; R+] = Z R`` orthonormalizes it:
+    ``q = [Q- Z-; Q+ Z+]`` (two-block TSQR).  The half-line projection of ``q``
+    is ``[0; Q+ Z+]``, so the SVD of the r x r block ``Z+ = U S V^H`` gives the
+    singular values, and the partial isometry is ``w = [0; Q+ U V^H]`` with
+    singular values below ``cutoff * sigma_max`` dropped; its lam < 0 rows are
+    exactly zero.  The work is two QRs of n/2 x r blocks and three n/2 x r x r
+    products; no n-row QR or SVD is formed.  Householder QR also copes with a
+    rank-deficient basis on coarse grids.  The same matrices act on every
+    multiplicity component.
     """
     if rank_budget < 1 or rank_budget > grid.n_points // 2:
         raise ValueError("rank_budget out of range")
-    phi = np.sqrt(grid.spacing) * _phi_matrix(grid, rank_budget)
-    q, _ = np.linalg.qr(phi)
-    mask = (grid.points() >= 0)[:, None]
-    x = np.where(mask, q, 0)
-    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    half = grid.n_points // 2
+    phi = _phi_matrix(grid, rank_budget)
+    q_minus, r_minus = qr(phi[:half], mode="economic", check_finite=False)
+    q_plus, r_plus = qr(phi[half:], mode="economic", check_finite=False)
+    z, _ = qr(np.vstack([r_minus, r_plus]), mode="economic", check_finite=False)
+    z_minus, z_plus = z[:rank_budget], z[rank_budget:]
+    u, s, vh = np.linalg.svd(z_plus)
     keep = s >= cutoff * s[0]
     if not keep.any():
         raise RuntimeError("all singular values fell below the cutoff")
-    w = u[:, keep] @ vh[keep, :]
+    q = np.vstack([q_minus @ z_minus, q_plus @ z_plus])
+    w = np.zeros_like(q)
+    w[half:] = q_plus @ (u[:, keep] @ vh[keep])
     return IsometryPair(
         grid=grid, rank=int(keep.sum()), singular_values=s[keep], _q=q, _w=w,
         _vh=vh[keep, :],

@@ -400,12 +400,12 @@ def transition_curve(f, times, mode: str, t_basis: SubspaceBasis | None = None,
             raise ValueError("unitary mode needs the polar isometry")
         rf = isometry.forward(f)
         lam = rf.grid.points()
-        overlaps, norms = [], []
-        for t in times:
-            evolved = np.exp(-1j * t * lam)[:, None] * rf.samples
-            overlaps.append(complex(rf.grid.spacing * np.sum(np.conj(rf.samples) * evolved)))
-            norms.append(float(np.sqrt(rf.grid.spacing * np.sum(np.abs(evolved) ** 2))))
+        # the multiplier has modulus one: <rf, e^{-it lam} rf> is a dot of
+        # e^{-it lam} with the weights h*|rf|^2, and the norm never changes
+        weights = rf.grid.spacing * np.sum(np.abs(rf.samples) ** 2, axis=1)
+        overlaps = [complex(np.dot(np.exp(-1j * t * lam), weights)) for t in times]
         fnorm2 = norm(rf) ** 2
+        norms = np.full(times.shape, np.sqrt(fnorm2))
     else:
         raise ValueError(f"mode must be 'decay' or 'unitary', got {mode!r}")
     reference = None

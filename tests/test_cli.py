@@ -120,18 +120,16 @@ def test_decay_overflowing_model_exit2(runner, tmp_path):
     assert not (tmp_path / "decay.csv").exists()
 
 
-def test_verify_hardy_passes(runner, tmp_path):
-    result = runner.invoke(main, ["verify", "--suite", "hardy", "--out", str(tmp_path)])
+@pytest.mark.parametrize("suite", ["hardy", "smatrix", "semigroup", "subspace"])
+def test_verify_suite_passes(runner, tmp_path, suite):
+    result = runner.invoke(main, ["verify", "--suite", suite, "--out", str(tmp_path)])
     assert result.exit_code == 0, result.output
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["all_pass"] is True
-    assert all(c["pass"] for c in report["checks"])
-
-
-def test_verify_smatrix_passes(runner):
-    result = runner.invoke(main, ["verify", "--suite", "smatrix"])
-    assert result.exit_code == 0, result.output
-    assert "unitarity" in result.output and "traceT_vs_closed" in result.output
+    assert report["checks"] and all(c["pass"] for c in report["checks"])
+    for check in report["checks"]:
+        assert check["check"].startswith(suite + ".")
+        assert check["check"] in result.output
 
 
 def test_verify_coarse_grid_fails_named_check(runner):

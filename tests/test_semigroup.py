@@ -5,6 +5,7 @@ import pytest
 
 import scatres as sr
 from conftest import rational_sum
+from scatres.hardy import _phi_matrix
 
 ZETA = 1 - 1j
 
@@ -139,6 +140,52 @@ def test_polar_isometry_properties(grid):
     phi = sr.mt_basis(0, grid)
     assert sr.norm(iso.adjoint(iso.forward(phi)) - phi) / sr.norm(phi) < 1e-3
     assert 0 < iso.smallest_retained <= iso.largest_retained <= 1 + 1e-12
+
+
+def _householder_reference(grid, rank_budget, cutoff=1e-8):
+    """Full-grid QR of the basis, then SVD of its masked half-line copy."""
+    q, _ = np.linalg.qr(np.sqrt(grid.spacing) * _phi_matrix(grid, rank_budget))
+    x = np.where((grid.points() >= 0)[:, None], q, 0)
+    u, s, vh = np.linalg.svd(x, full_matrices=False)
+    keep = s >= cutoff * s[0]
+    return q, u[:, keep] @ vh[keep, :], s[keep]
+
+
+def _assert_orthonormal(q):
+    assert np.abs(q.conj().T @ q - np.eye(q.shape[1])).max() < 1e-13
+
+
+@pytest.mark.parametrize("n, half_extent, budget", [
+    (2**14, 400.0, 32), (2**14, 400.0, 40), (2**14, 400.0, 48),
+    (2**10, 50.0, 32), (2**10, 50.0, 40),
+])
+def test_polar_isometry_matches_householder_reference(n, half_extent, budget):
+    # on these grids cond(Phi) <= 100, so both constructions determine the
+    # same operator and differ by roundoff of order eps*cond/s_min_kept
+    g = sr.make_grid(n, half_extent)
+    assert np.linalg.cond(_phi_matrix(g, budget)) <= 100
+    q_ref, w_ref, s_ref = _householder_reference(g, budget)
+    iso = sr.build_polar_isometry(g, rank_budget=budget)
+    assert iso.rank == s_ref.size
+    assert np.abs(iso.singular_values - s_ref).max() < 1e-12
+    _assert_orthonormal(iso._q)
+    assert not iso._w[: n // 2].any()  # lam < 0 rows are exactly zero
+    rng = np.random.default_rng(budget)
+    f = sr.grid_function(g, rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))
+    for got, ref in ((iso.forward(f).samples, w_ref @ (q_ref.conj().T @ f.samples)),
+                     (iso.adjoint(f).samples, q_ref @ (w_ref.conj().T @ f.samples))):
+        assert np.linalg.norm(got - ref) / np.linalg.norm(ref) < 1e-7
+
+
+@pytest.mark.parametrize("budget", [48, 2**7])
+def test_polar_isometry_rank_deficient_basis(budget):
+    # on 2^8 points the basis is numerically rank deficient (cond ~ 1e17);
+    # Householder QR still returns an orthonormal q, up to budget = n/2
+    g = sr.make_grid(2**8, 400.0)
+    iso = sr.build_polar_isometry(g, rank_budget=budget)
+    _assert_orthonormal(iso._q)
+    assert 0 < iso.rank <= budget
+    assert not iso._w[: g.n_points // 2].any()
 
 
 def test_polar_isometry_validation(grid):
