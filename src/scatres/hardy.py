@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg.blas import zgemm
 from scipy.special import sici
 
 __all__ = [
@@ -314,7 +315,9 @@ def _phi_matrix(grid: Grid, count: int) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _phi_gram_cho(grid: Grid, count: int) -> np.ndarray:
     phi = _phi_matrix(grid, count)
-    return np.linalg.cholesky(grid.spacing * (phi.conj().T @ phi))
+    # h phi^T conj(phi) = conj(phi^H phi), by BLAS on the transposed view: no
+    # conjugate copy of phi
+    return np.linalg.cholesky(zgemm(grid.spacing, phi.T, phi.T, trans_b=2).conj())
 
 
 def mt_basis(j: int, grid: Grid, m: int = 1, component: int = 0) -> GridFunction:
@@ -354,7 +357,8 @@ def mt_coefficients_grid(f: GridFunction, count: int) -> np.ndarray:
     idempotent at machine precision.
     """
     phi = _phi_matrix(f.grid, count)
-    rhs = f.grid.spacing * (phi.conj().T @ f.samples)
+    # phi^H f as conj(phi^T conj(f)): only the n x m input is conjugated
+    rhs = f.grid.spacing * (phi.T @ f.samples.conj()).conj()
     cho = _phi_gram_cho(f.grid, count)
     y = np.linalg.solve(cho, rhs)
     return np.linalg.solve(cho.conj().T, y)

@@ -153,14 +153,15 @@ def build_M_and_T(model: SMatrixModel, n_basis: SubspaceBasis, cutoff: float = 1
         raise ValueError("build_M_and_T expects the constrained basis")
     theta = 2 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
     lam = -1.0 / np.tan(theta / 2)
-    s_vals = model.boundary(lam, "+")[:, 0, 0].astype(np.clongdouble)
     d_work = n_basis.working_dim
     # s_q for q = -2(D-1) .. D-1; the offset grid makes the wrap anti-periodic
     q = np.arange(-2 * (d_work - 1), d_work)
-    s_hat = (np.fft.fft(s_vals, norm="forward")[q % n_theta]
-             * np.exp(-1j * np.pi * q.astype(np.longdouble) / n_theta))
-    # rows k = -(D-1) .. D-1 of the image coefficients; overflow is reported below
-    with np.errstate(over="ignore", invalid="ignore"):
+    # S may overflow on the circle; the non-finite result is reported below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s_vals = model.boundary(lam, "+")[:, 0, 0].astype(np.clongdouble)
+        s_hat = (np.fft.fft(s_vals, norm="forward")[q % n_theta]
+                 * np.exp(-1j * np.pi * q.astype(np.longdouble) / n_theta))
+        # rows k = -(D-1) .. D-1 of the image coefficients
         images = (toeplitz(s_hat[d_work - 1:], s_hat[d_work - 1::-1])
                   @ n_basis.coefs).astype(complex)
         m_cols = images[d_work - 1:]
@@ -399,10 +400,12 @@ def transition_curve(f, times, mode: str, t_basis: SubspaceBasis | None = None,
         if isometry is None:
             raise ValueError("unitary mode needs the polar isometry")
         rf = isometry.forward(f)
-        lam = rf.grid.points()
         # the multiplier has modulus one: <rf, e^{-it lam} rf> is a dot of
-        # e^{-it lam} with the weights h*|rf|^2, and the norm never changes
-        weights = rf.grid.spacing * np.sum(np.abs(rf.samples) ** 2, axis=1)
+        # e^{-it lam} with the weights h*|rf|^2, and the norm never changes;
+        # rf vanishes on lam < 0, so only the lam >= 0 half enters
+        half = rf.grid.n_points // 2
+        lam = rf.grid.points()[half:]
+        weights = rf.grid.spacing * np.sum(np.abs(rf.samples[half:]) ** 2, axis=1)
         overlaps = [complex(np.dot(np.exp(-1j * t * lam), weights)) for t in times]
         fnorm2 = norm(rf) ** 2
         norms = np.full(times.shape, np.sqrt(fnorm2))

@@ -1,11 +1,15 @@
 """Command-line contract: files, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import scatres
 from scatres.cli import main
 
 
@@ -117,6 +121,23 @@ def test_decay_overflowing_model_exit2(runner, tmp_path):
     assert result.exit_code == 2
     assert "error: model squarewell" in result.output
     assert "Traceback" not in result.output
+    assert not (tmp_path / "decay.csv").exists()
+
+
+def test_decay_overflow_exit2_without_numpy_warnings(tmp_path):
+    # a weak well whose S overflows on the circle: the process must leave only
+    # the named error on stderr, not the numpy warnings raised on the way
+    src = os.path.dirname(os.path.dirname(scatres.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "scatres.cli", "decay", "--model", "squarewell",
+         "--v0", "0.2211524855348381", "--radius", "1.9838212674034716",
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 2
+    assert "error: model squarewell" in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert not (tmp_path / "decay.csv").exists()
 
 

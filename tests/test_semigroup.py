@@ -143,12 +143,26 @@ def test_polar_isometry_properties(grid):
 
 
 def _householder_reference(grid, rank_budget, cutoff=1e-8):
-    """Full-grid QR of the basis, then SVD of its masked half-line copy."""
+    """Full-grid QR of the basis, then SVD of its masked half-line copy.
+
+    Returns the orthonormal basis q, the partial isometry w, the retained
+    singular values and an orthonormal frame of the retained initial space.
+    """
     q, _ = np.linalg.qr(np.sqrt(grid.spacing) * _phi_matrix(grid, rank_budget))
     x = np.where((grid.points() >= 0)[:, None], q, 0)
     u, s, vh = np.linalg.svd(x, full_matrices=False)
     keep = s >= cutoff * s[0]
-    return q, u[:, keep] @ vh[keep, :], s[keep]
+    return q, u[:, keep] @ vh[keep, :], s[keep], q @ vh[keep].conj().T
+
+
+def _materialize(iso):
+    """Explicit q = [Q- Z-; Q+ Z+] and w = [0; Q+ P] from the implicit factors.
+
+    q is the factors applied to the r x r identity; w is ``forward`` applied
+    to q, since ``w q^H q = w``.
+    """
+    q = iso._synthesize(np.eye(iso._z.shape[1]))
+    return q, iso.forward(sr.grid_function(iso.grid, q)).samples
 
 
 def _assert_orthonormal(q):
@@ -164,17 +178,33 @@ def test_polar_isometry_matches_householder_reference(n, half_extent, budget):
     # same operator and differ by roundoff of order eps*cond/s_min_kept
     g = sr.make_grid(n, half_extent)
     assert np.linalg.cond(_phi_matrix(g, budget)) <= 100
-    q_ref, w_ref, s_ref = _householder_reference(g, budget)
+    q_ref, w_ref, s_ref, init_ref = _householder_reference(g, budget)
     iso = sr.build_polar_isometry(g, rank_budget=budget)
     assert iso.rank == s_ref.size
     assert np.abs(iso.singular_values - s_ref).max() < 1e-12
-    _assert_orthonormal(iso._q)
-    assert not iso._w[: n // 2].any()  # lam < 0 rows are exactly zero
+    q, w = _materialize(iso)
+    _assert_orthonormal(q)
+    assert not w[: n // 2].any()  # lam < 0 rows are exactly zero
+    # the retained initial space, orthonormal in the plain metric; the cutoff
+    # sits in a gap of order 1e-8 between kept and dropped singular values, so
+    # roundoff tilts the space by about eps/gap
+    init = np.sqrt(g.spacing) * np.hstack([v.samples for v in iso.initial_vectors()])
+    _assert_orthonormal(init)
+    assert np.linalg.norm(init - init_ref @ (init_ref.conj().T @ init)) < 1e-7
+
+    def forward_ref(f):
+        return sr.grid_function(g, w_ref @ (q_ref.conj().T @ f.samples))
+
+    def adjoint_ref(f):
+        return sr.grid_function(g, q_ref @ (w_ref.conj().T @ f.samples))
+
     rng = np.random.default_rng(budget)
-    f = sr.grid_function(g, rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))
-    for got, ref in ((iso.forward(f).samples, w_ref @ (q_ref.conj().T @ f.samples)),
-                     (iso.adjoint(f).samples, q_ref @ (w_ref.conj().T @ f.samples))):
-        assert np.linalg.norm(got - ref) / np.linalg.norm(ref) < 1e-7
+    for m in (1, 2):
+        f = sr.grid_function(g, rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+        transfer_ref = forward_ref(sr.apply_C(adjoint_ref(f), 1.0))
+        for got, ref in ((iso.forward(f), forward_ref(f)), (iso.adjoint(f), adjoint_ref(f)),
+                         (sr.transfer_apply(iso, f, 1.0, "C"), transfer_ref)):
+            assert sr.norm(got - ref) / sr.norm(ref) < 1e-7
 
 
 @pytest.mark.parametrize("budget", [48, 2**7])
@@ -183,9 +213,20 @@ def test_polar_isometry_rank_deficient_basis(budget):
     # Householder QR still returns an orthonormal q, up to budget = n/2
     g = sr.make_grid(2**8, 400.0)
     iso = sr.build_polar_isometry(g, rank_budget=budget)
-    _assert_orthonormal(iso._q)
+    q, w = _materialize(iso)
+    _assert_orthonormal(q)
     assert 0 < iso.rank <= budget
-    assert not iso._w[: g.n_points // 2].any()
+    assert not w[: g.n_points // 2].any()
+
+
+def test_polar_isometry_leaves_cached_basis_unchanged():
+    # the basis matrix is cached and shared, so the factorization must copy it
+    g = sr.make_grid(2**10, 50.0)
+    phi = _phi_matrix(g, 40)
+    before = phi.copy()
+    sr.build_polar_isometry(g, rank_budget=40)
+    assert _phi_matrix(g, 40) is phi
+    assert np.array_equal(phi, before)
 
 
 def test_polar_isometry_validation(grid):

@@ -333,6 +333,10 @@ def test_transition_curve_unitary_mode(ex1_bases, grid):
     times = [0.0, 0.5, 1.0, 2.0]
     curve = sr.transition_curve(e, times, "unitary", isometry=iso, zeta=ZETA)
     assert abs(abs(curve.overlaps[0]) - 1.0) < 1e-3
+    # the overlaps <rf, e^{-it lam} rf> over the whole grid, phases included
+    rf = iso.forward(e)
+    full = [sr.inner(sr.apply_T(rf, t), rf) for t in times]
+    assert np.abs(curve.overlaps - full).max() < 1e-12
     # unitary survival exceeds the semigroup decay at late times for this state
     decay = sr.transition_curve(e, times, "decay", t_basis=tb, zeta=ZETA)
     assert abs(curve.overlaps[-1]) != pytest.approx(abs(decay.overlaps[-1]), rel=1e-3)
