@@ -134,7 +134,7 @@ def cmd_resonances(model, a, v0, radius, region, sheet, out_dir):
         if region is not None:
             regions = [_parse_region(region, sheet or (2 if mdl.sheet_count == 2 else 1))]
         os.makedirs(out_dir, exist_ok=True)
-    except (ValueError, json.JSONDecodeError, click.UsageError) as exc:
+    except (ValueError, OSError, click.UsageError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     try:
@@ -183,7 +183,7 @@ def cmd_decay(model, a, v0, radius, grid_n, grid_l, basis_n, times, out_dir):
             raise click.UsageError(
                 f"--basis-n must lie in [1, {grid_n // 2}] (half of --grid-n), got {basis_n}")
         os.makedirs(out_dir, exist_ok=True)
-    except (ValueError, json.JSONDecodeError, click.UsageError) as exc:
+    except (ValueError, OSError, click.UsageError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     found = finder.find_resonances(mdl)
@@ -239,8 +239,10 @@ def cmd_verify(suite, grid_n, grid_l, tols, out_dir):
     """
     try:
         overrides = _parse_tols(tols)
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
         checks = verify.run_suite(suite, grid_n=grid_n, grid_l=grid_l, overrides=overrides)
-    except (ValueError, click.UsageError) as exc:
+    except (ValueError, OSError, click.UsageError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     except Exception as exc:  # suite machinery failure on hostile configurations
@@ -249,7 +251,6 @@ def cmd_verify(suite, grid_n, grid_l, tols, out_dir):
     report = {"suite": suite, "checks": checks, "all_pass": all(c["pass"] for c in checks)}
     text = _fmt_json(report) + "\n"
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         _atomic_write(os.path.join(out_dir, "report.json"), text)
     for c in checks:
         status = "pass" if c["pass"] else "FAIL"

@@ -1,6 +1,10 @@
 """Locating poles of the continued scattering matrix: coarse rectangle scans,
 argument-principle counting on cell boundaries, Newton refinement, kernel
 vectors, rim scans along the negative axis, and the conjugate-pair audit.
+
+Rim scans sample the real pole condition on the negative axis and polish each
+sign-change bracket with the in-house port of Brent's method in ``smatrix``,
+so pole finding needs numpy only.
 """
 
 from __future__ import annotations
@@ -10,9 +14,8 @@ import io
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .smatrix import SMatrixModel, TraceClassModel, build_L
+from .smatrix import SMatrixModel, TraceClassModel, _sign_change_roots, build_L
 
 __all__ = [
     "Resonance",
@@ -191,13 +194,9 @@ def rim_scan(model: SMatrixModel, x_min: float, x_max: float, sheet: int,
     vals = model.pole_condition(xs.astype(complex), sheet)
     if np.max(np.abs(vals.imag)) > 1e-9 * max(np.max(np.abs(vals)), 1.0):
         raise RuntimeError("rim pole condition is not real; no robust bracketing available")
-    v = vals.real
-    found = []
-    for i in np.flatnonzero((v[:-1] == 0) | (v[:-1] * v[1:] < 0)):
-        root = brentq(lambda x: float(np.real(model.pole_condition(complex(x), sheet))),
-                      xs[i], xs[i + 1], xtol=1e-14)
-        found.append(_classify(model, complex(root), sheet, 0))
-    return found
+    roots = _sign_change_roots(lambda x: float(np.real(model.pole_condition(complex(x), sheet))),
+                               xs, vals.real)
+    return [_classify(model, complex(root), sheet, 0) for root in roots]
 
 
 def _kernel_and_residual(model: SMatrixModel, zeta: complex, sheet: int | None = None):

@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.blas import zgemm
-from scipy.special import sici
 
 __all__ = [
     "Grid",
@@ -204,6 +202,8 @@ class _TailCache:
 
     def window_deficit(self, A: np.ndarray, B: np.ndarray, shift: float) -> np.ndarray:
         """Closed form of the missing |lam| > L part of the inverse transform."""
+        from scipy.special import sici
+
         L = self.grid.half_extent
         x = self.x - shift
         ax = np.abs(x)
@@ -314,6 +314,8 @@ def _phi_matrix(grid: Grid, count: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _phi_gram_cho(grid: Grid, count: int) -> np.ndarray:
+    from scipy.linalg.blas import zgemm
+
     phi = _phi_matrix(grid, count)
     # h phi^T conj(phi) = conj(phi^H phi), by BLAS on the transposed view: no
     # conjugate copy of phi

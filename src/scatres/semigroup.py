@@ -8,8 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import qr
-from scipy.linalg.lapack import zunmqr
 
 from .hardy import (
     Grid,
@@ -88,6 +86,8 @@ def generator_offset(f: GridFunction, residual_tol: float = 5e-2) -> GeneratorSa
 
 
 def _zunmqr(factor: tuple, trans: str, c: np.ndarray, overwrite: bool) -> np.ndarray:
+    from scipy.linalg.lapack import zunmqr
+
     h, tau = factor
     # the minimal workspace selects LAPACK's unblocked reflector loop: for the
     # few columns applied here the blocked path costs more, since it forms a
@@ -187,6 +187,8 @@ def build_polar_isometry(
     Householder QR also copes with a rank-deficient basis on coarse grids.
     The same matrices act on every multiplicity component.
     """
+    from scipy.linalg import qr
+
     if rank_budget < 1 or rank_budget > grid.n_points // 2:
         raise ValueError("rank_budget out of range")
     half = grid.n_points // 2

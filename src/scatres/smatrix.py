@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "momentum",
@@ -226,6 +226,74 @@ class RankOneModel(SMatrixModel):
 
 
 # ---------------------------------------------------------------------------
+# real roots from sign changes
+
+
+def _brent_root(f, a: float, b: float, maxiter: int = 100) -> float:
+    """Root of ``f`` in the bracket ``[a, b]`` by Brent's method.
+
+    A step-for-step port of scipy's ``brentq.c`` (Brent 1973, ch. 4) with
+    ``xtol = 1e-14`` and ``rtol = 4 eps``, so that it returns the same double.
+    """
+    xtol, rtol = 1e-14, 4 * np.finfo(float).eps
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+        return fx
+
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Brent's method failed to converge after {maxiter} iterations, "
+                       f"value is {xcur}")
+
+
+def _sign_change_roots(f, xs: np.ndarray, vals: np.ndarray) -> list[float]:
+    """Roots of the scalar ``f`` from real samples ``vals = f(xs)``.
+
+    Each exact zero of ``vals`` is a root; each sign change between adjacent
+    samples is a bracket polished by :func:`_brent_root`.
+    """
+    return [float(xs[i]) if vals[i] == 0 else _brent_root(f, xs[i], xs[i + 1])
+            for i in np.flatnonzero((vals[:-1] == 0) | (vals[:-1] * vals[1:] < 0))]
+
+
+# ---------------------------------------------------------------------------
 # square well (zero angular momentum) via the Jost function
 
 
@@ -301,14 +369,7 @@ class SquareWellModel(SMatrixModel):
             return float(np.real(jost_F(1j * kap, self.v0, self.radius)))
 
         grid = np.linspace(1e-9, kmax * (1 - 1e-12), 800)
-        vals = np.real(jost_F(1j * grid, self.v0, self.radius))
-        roots = []
-        for i in np.flatnonzero((vals[:-1] == 0) | (vals[:-1] * vals[1:] < 0)):
-            if vals[i] == 0:
-                roots.append(float(grid[i]))
-            else:
-                roots.append(float(brentq(g, grid[i], grid[i + 1], xtol=1e-14)))
-        return roots
+        return _sign_change_roots(g, grid, np.real(jost_F(1j * grid, self.v0, self.radius)))
 
     def upper_rim_poles(self):
         return [(-kap**2, 1) for kap in self.bound_state_momenta()]

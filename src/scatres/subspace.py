@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .hardy import (
     Grid,
@@ -148,6 +147,8 @@ def build_M_and_T(model: SMatrixModel, n_basis: SubspaceBasis, cutoff: float = 1
     of the largest singular value.  Raises ``FloatingPointError`` when
     ``S*N`` overflows.
     """
+    from scipy.linalg import toeplitz
+
     _require_scalar(model)
     if n_basis.role != "N":
         raise ValueError("build_M_and_T expects the constrained basis")

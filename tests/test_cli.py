@@ -124,21 +124,88 @@ def test_decay_overflowing_model_exit2(runner, tmp_path):
     assert not (tmp_path / "decay.csv").exists()
 
 
-def test_decay_overflow_exit2_without_numpy_warnings(tmp_path):
-    # a weak well whose S overflows on the circle: the process must leave only
-    # the named error on stderr, not the numpy warnings raised on the way
+def _python(*args, cwd=None):
+    """Run a fresh interpreter that imports this checkout of scatres."""
     src = os.path.dirname(os.path.dirname(scatres.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "scatres.cli", "decay", "--model", "squarewell",
-         "--v0", "0.2211524855348381", "--radius", "1.9838212674034716",
-         "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=300)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=cwd, timeout=300)
+
+
+def _cli(*args, cwd=None):
+    return _python("-m", "scatres.cli", *args, cwd=cwd)
+
+
+# scipy is made unimportable before the CLI module is loaded
+_BLOCKED_CLI = "import sys; sys.modules['scipy'] = None; from scatres.cli import main; main()"
+
+
+def test_decay_overflow_exit2_without_numpy_warnings(tmp_path):
+    # a weak well whose S overflows on the circle: the process must leave only
+    # the named error on stderr, not the numpy warnings raised on the way
+    proc = _cli("decay", "--model", "squarewell", "--v0", "0.2211524855348381",
+                "--radius", "1.9838212674034716", "--out", str(tmp_path))
     assert proc.returncode == 2
     assert "error: model squarewell" in proc.stderr
     assert "RuntimeWarning" not in proc.stderr
     assert not (tmp_path / "decay.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["missing_csv", "model_directory", "out_resonances",
+                                  "out_decay", "out_verify"])
+def test_os_errors_exit1_without_traceback(tmp_path, case):
+    blocker = tmp_path / "plain_file"
+    blocker.write_text("")
+    out = str(blocker / "out")  # cannot be created: its parent is a regular file
+    args = {
+        "missing_csv": ["resonances", "--model", '{"model": "traceclass", "file": "nope.csv"}',
+                        "--out", str(tmp_path)],
+        "model_directory": ["resonances", "--model", str(tmp_path), "--out", str(tmp_path)],
+        "out_resonances": ["resonances", "--model", "example1", "--out", out],
+        "out_decay": ["decay", "--model", "example1", "--out", out],
+        "out_verify": ["verify", "--suite", "hardy", "--out", out],
+    }[case]
+    proc = _cli(*args, cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+def test_cli_import_loads_no_scipy():
+    proc = _python("-c", "import sys, scatres.cli; "
+                         "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def _write_trace_csv(path, a):
+    data = scatres.rankone_trace_data(a)
+    rows = ["lambda,re_a_0_0,im_a_0_0,re_b_0_0,im_b_0_0"]
+    for lam, fa, fb in zip(data.lam, data.a_vals[:, 0, 0], data.b_vals[:, 0, 0]):
+        rows.append(",".join(repr(float(v)) for v in (lam, fa.real, fa.imag, fb.real, fb.imag)))
+    path.write_text("\n".join(rows) + "\n")
+
+
+@pytest.mark.parametrize("model", [
+    ["--model", "example1"],
+    ["--model", '{"model": "rational", "poles": [[0.5, -0.7], [-1.2, 0.4]]}'],
+    ["--model", "rankone", "--a", "2"],
+    ["--model", "rankone", "--a", "-2"],
+    ["--model", "squarewell", "--v0", "10", "--radius", "1"],
+    ["--model", '{"model": "traceclass", "file": "factors.csv"}'],
+])
+def test_resonances_without_scipy_match(tmp_path, model):
+    _write_trace_csv(tmp_path / "factors.csv", 1.0)
+    blocked = _python("-c", _BLOCKED_CLI, "resonances", *model, "--out", "blocked", cwd=tmp_path)
+    plain = _cli("resonances", *model, "--out", "plain", cwd=tmp_path)
+    assert "Traceback" not in blocked.stderr
+    assert (blocked.returncode, blocked.stdout) == (plain.returncode, plain.stdout)
+    for name in ("poles.csv", "poles.json"):
+        blocked_file, plain_file = tmp_path / "blocked" / name, tmp_path / "plain" / name
+        assert blocked_file.exists() == plain_file.exists()
+        if plain_file.exists():
+            assert blocked_file.read_bytes() == plain_file.read_bytes()
 
 
 @pytest.mark.parametrize("suite", ["hardy", "smatrix", "semigroup", "subspace"])

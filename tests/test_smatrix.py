@@ -1,5 +1,7 @@
 """Scattering-matrix models, trace-class machinery, and the Jost function."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,6 +253,68 @@ def test_jost_bound_states_vs_shooting_oracle():
 
     oracle = brentq(shoot, 1.5, 3.0, xtol=1e-12)
     assert abs(closed[0] - oracle) < 1e-6
+
+
+# Brent port: the same double as scipy's brentq on every bracket.  Each family
+# is strictly monotone through its root r, so [r - left, r + right] brackets it.
+_MONOTONE = [
+    lambda c, d: lambda x: c * x + d * x**3,
+    lambda c, d: lambda x: math.tanh(c * x) + d * x,
+    lambda c, d: lambda x: math.expm1(c * x / (1 + abs(x))) + d * x,
+    lambda c, d: lambda x: math.atan(c * x) * (1 + d),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(_MONOTONE), c=st.floats(1e-2, 1e2), d=st.floats(0, 10),
+       root=st.floats(-50, 50), left=st.floats(1e-6, 20), right=st.floats(1e-6, 20),
+       sign=st.sampled_from([1, -1]), swap=st.booleans())
+def test_brent_root_matches_scipy(family, c, d, root, left, right, sign, swap):
+    g = family(c, d)
+
+    def f(x):
+        return sign * g(x - root)
+
+    a, b = root - left, root + right
+    if swap:
+        a, b = b, a
+    assert sr.smatrix._brent_root(f, a, b) == brentq(f, a, b, xtol=1e-14)
+
+
+@settings(max_examples=40, deadline=None)
+@given(exponent=st.floats(-2, 3), sign=st.sampled_from([1, -1]), sheet=st.sampled_from([1, 2]))
+def test_brent_root_matches_scipy_on_rankone_rims(exponent, sign, sheet):
+    model = sr.RankOneModel(sign * 10**exponent)
+    extent = 2 * (1 + 10 ** (exponent / 2)) ** 2 + 8  # beyond every rim pole
+    xs = np.linspace(-extent, -1e-9, 4001)
+    vals = model.pole_condition(xs.astype(complex), sheet).real
+
+    def f(x):
+        return float(np.real(model.pole_condition(complex(x), sheet)))
+
+    brackets = np.flatnonzero(vals[:-1] * vals[1:] < 0)
+    if sign < 0 and exponent > 0.1:  # a < -1 puts a zero on both rims
+        assert brackets.size
+    for i in brackets:
+        assert sr.smatrix._brent_root(f, xs[i], xs[i + 1]) == brentq(f, xs[i], xs[i + 1], xtol=1e-14)
+
+
+def test_brent_root_errors_match_scipy():
+    def same_sign(x):
+        return x * x + 1
+
+    for solve in (sr.smatrix._brent_root, brentq):
+        with pytest.raises(ValueError, match="different signs"):
+            solve(same_sign, -1.0, 1.0)
+        with pytest.raises(RuntimeError):
+            solve(math.atan, -1.0, 3.0, maxiter=3)
+    assert sr.smatrix._brent_root(math.atan, -1.0, 3.0) == brentq(math.atan, -1.0, 3.0, xtol=1e-14)
+
+
+def test_sign_change_roots_takes_exact_zero_samples():
+    xs = np.array([-2.0, -1.0, 0.0, 1.5, 3.0])
+    roots = sr.smatrix._sign_change_roots(lambda x: x * x - 2.25, xs, xs * xs - 2.25)
+    assert roots == [-1.5, 1.5]
 
 
 def test_squarewell_unitarity_and_validation():
