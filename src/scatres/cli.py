@@ -172,8 +172,9 @@ def cmd_decay(model, a, v0, radius, grid_n, grid_l, basis_n, times, out_dir):
     for the normalized decaying eigenvector, 12 significant digits.
 
     Exit code 1 flags a bad configuration, including a basis size outside
-    [1, grid-n/2]; exit code 2 a decay computation failure (S·N not finite);
-    exit code 3 a trivial admissible subspace (no resonances).
+    [1, grid-n/2]; exit code 2 a pole-scan failure or a decay computation
+    failure (S·N not finite); exit code 3 a trivial admissible subspace (no
+    resonances).
     """
     try:
         mdl = _parse_model(model, a, v0, radius)
@@ -186,9 +187,13 @@ def cmd_decay(model, a, v0, radius, grid_n, grid_l, basis_n, times, out_dir):
     except (ValueError, OSError, click.UsageError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    found = finder.find_resonances(mdl)
+    try:
+        found = finder.find_resonances(mdl)
+        audit = finder.conjugate_pair_audit(found, mdl)
+    except Exception as exc:  # scan machinery failure, as in resonances
+        click.echo(f"scan failed: {exc}", err=True)
+        sys.exit(2)
     resonances = [r for r in found if r.kind == "resonance"]
-    audit = finder.conjugate_pair_audit(found, mdl)
     if not audit.ok:
         click.echo("error: conjugate pole pairs detected; subspace not admissible", err=True)
         sys.exit(1)

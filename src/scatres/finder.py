@@ -74,15 +74,15 @@ class ScanRegion:
 
 
 def winding_number(fn, center: complex, half_w: float, half_h: float,
-                   n0: int = 64, max_doublings: int = 5) -> tuple[int, float]:
+                   n0: int = 64) -> tuple[int, float]:
     """Winding of ``fn`` around a rectangle, by phase accumulation.
 
-    Boundary sampling is doubled until two consecutive estimates agree within
-    1e-3 of the same integer.
+    Boundary sampling is doubled, at most five times, until two consecutive
+    estimates agree within 1e-3 of the same integer.
     """
     prev = None
     n = n0
-    for _ in range(max_doublings + 1):
+    for _ in range(6):
         q = n // 4
         ts = np.arange(q) / q
         right = center + half_w + 1j * (-half_h + 2 * half_h * ts)
@@ -151,12 +151,12 @@ def _resolve_cell(fn, center: complex, hw: float, hh: float, depth: int = 0) -> 
     return found or [center]
 
 
-def refine(model: SMatrixModel, z0: complex, sheet: int = 1,
-           max_iter: int = 50, step_tol: float = 1e-12) -> Resonance:
-    """Newton refinement of the pole condition from a candidate point."""
+def refine(model: SMatrixModel, z0: complex, sheet: int = 1) -> Resonance:
+    """Newton refinement of the pole condition from a candidate point: at most
+    50 steps, stopping at a step below 1e-12."""
     z = complex(z0)
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, 51):
         h = 1e-7 * max(1.0, abs(z))
         f0, f_plus, f_minus = model.pole_condition(np.array([z, z + h, z - h]), sheet)
         fp = (f_plus - f_minus) / (2 * h)
@@ -164,7 +164,7 @@ def refine(model: SMatrixModel, z0: complex, sheet: int = 1,
             raise RuntimeError(f"Newton derivative vanished at {z}")
         step = f0 / fp
         z = z - step
-        if abs(step) < step_tol:
+        if abs(step) < 1e-12:
             break
     else:
         raise RuntimeError(f"Newton did not converge from {z0} (last step {abs(step):.2e})")
@@ -219,20 +219,17 @@ def _kernel_and_residual(model: SMatrixModel, zeta: complex, sheet: int | None =
     return k / np.linalg.norm(k), val
 
 
-def kernel_vector(model: SMatrixModel, zeta: complex, sheet: int | None = None,
-                  threshold: float = 1e-6) -> np.ndarray:
+def kernel_vector(model: SMatrixModel, zeta: complex, sheet: int | None = None) -> np.ndarray:
     """Unit vector minimizing ``||S(conj(zeta))* k||`` at a located pole.
 
-    Raises when the minimized value stays above the threshold, which signals
+    Raises when the minimized value stays above 1e-6, which signals
     that the point is not a genuine pole.  For poles on the negative axis the
     scattering matrix itself is singular at the conjugate point, so the kernel
     is read from the resolvent-kernel matrix when one is available.
     """
     k, val = _kernel_and_residual(model, zeta, sheet)
-    if val > threshold:
-        raise ValueError(
-            f"point {zeta} is not a pole: min ||S(conj zeta)* k|| = {val:.3e} > {threshold:g}"
-        )
+    if val > 1e-6:
+        raise ValueError(f"point {zeta} is not a pole: min ||S(conj zeta)* k|| = {val:.3e} > 1e-06")
     return k
 
 

@@ -416,17 +416,17 @@ class TraceClassData:
         return self.a_vals.shape[2]
 
 
-def _gl_panels(k_start: float, k_stop: float, first: float = 0.05, grow: float = 1.6, n_gl: int = 16):
-    """Geometrically growing Gauss-Legendre panels on a momentum interval."""
-    xs, ws = np.polynomial.legendre.leggauss(n_gl)
+def _gl_panels(k_start: float, k_stop: float):
+    """Gauss-Legendre panels of 16 nodes on a momentum interval, 0.05 wide, growing by 1.6."""
+    xs, ws = np.polynomial.legendre.leggauss(16)
     nodes, weights = [], []
-    lo, width = k_start, first
+    lo, width = k_start, 0.05
     while lo < k_stop:
         hi = min(lo + width, k_stop)
         nodes.append((hi - lo) / 2 * xs + (hi + lo) / 2)
         weights.append((hi - lo) / 2 * ws)
         lo = hi
-        width *= grow
+        width *= 1.6
     return np.concatenate(nodes), np.concatenate(weights)
 
 
@@ -460,13 +460,13 @@ def rankone_trace_data(a: float, k_max: float = 2000.0) -> TraceClassData:
 _BLOCK_ENTRIES = 2**16
 
 
-def trace_T(data: TraceClassData, z, tail_tol: float = 1e-10) -> np.ndarray:
+def trace_T(data: TraceClassData, z) -> np.ndarray:
     """Quadrature of ``int A(lam)* B(lam) / (z - lam) dlam`` for z off the positive axis.
 
     ``z`` is a scalar or an array; the result has shape ``z.shape + (p, p)``.
     The quadrature is one ``(Z x Q) @ (Q x p^2)`` product against the sampled
     cross term, taken over blocks of ``z`` so that no temporary holds more than
-    ``_BLOCK_ENTRIES`` complex entries.
+    ``_BLOCK_ENTRIES`` complex entries.  A tail estimate above 1e-10 warns.
     """
     z = np.asarray(z, dtype=complex)
     if np.any((z.imag == 0) & (z.real >= 0)):
@@ -482,7 +482,7 @@ def trace_T(data: TraceClassData, z, tail_tol: float = 1e-10) -> np.ndarray:
         out[lo : lo + step] = kern @ cross
     if data.tail_bound and zf.size:
         dist = np.maximum(np.abs(zf - data.lam[-1]), 1.0)
-        if np.any(data.tail_bound / dist > tail_tol):
+        if np.any(data.tail_bound / dist > 1e-10):
             warnings.warn("trace_T tail estimate exceeds tolerance; enlarge the grid")
     return out.reshape(z.shape + (p, p))
 
@@ -497,49 +497,49 @@ def _jump_momentum(z) -> np.ndarray:
     return np.where((z.imag == 0) & (z.real < 0), -1j * np.sqrt(-z), np.sqrt(z))
 
 
-def trace_T_boundary(data: TraceClassData, mu: float, side: str, eps: float = 5e-3) -> np.ndarray:
-    """Boundary value on the positive axis: principal value -/+ i*pi*A(mu)*B(mu).
+def _cross_at(data: TraceClassData, mu: np.ndarray) -> np.ndarray:
+    """``X(mu) = A(mu)* B(mu)``: ``c_fun(sqrt(mu))``, else the samples interpolated linearly."""
+    if data.c_fun is not None:
+        return data.c_fun(np.sqrt(mu))
+    i = np.clip(np.searchsorted(data.lam, mu), 1, data.lam.size - 1)
+    t = ((mu - data.lam[i - 1]) / (data.lam[i] - data.lam[i - 1]))[..., None, None]
+    return (1 - t) * data._cross[i - 1] + t * data._cross[i]
 
-    The principal value uses symmetric excision around ``mu`` in the momentum
-    variable with one Richardson step in the excision radius (order eps^3).
+
+def trace_T_boundary(data: TraceClassData, mu, side: str) -> np.ndarray:
+    """Boundary values ``T(mu +/- i0)`` for ``0 < mu < Lam``; shape ``mu.shape + (p, p)``.
+
+    One singularity subtraction for analytic and sampled data, with ``X = A* B``
+    and ``Lam = sum(weights)``, the end of the range the weights integrate::
+
+        T(mu +/- i0) = sum_q w_q (X_q - X(mu))/(mu - lam_q) + X(mu) log(mu/(Lam - mu)) -/+ i pi X(mu)
+
+    A node ``lam_q == mu`` contributes its limit ``-w_q X'(mu)`` (central difference).
     """
-    mu = float(mu)
-    if mu <= 0:
-        raise ValueError("boundary values require mu > 0")
     if side not in ("+", "-"):
         raise ValueError(f"side must be '+' or '-', got {side!r}")
-    if data.c_fun is None:
-        return _trace_boundary_sampled(data, mu, side)
-    k0 = np.sqrt(mu)
-
-    def excised(ec):
-        k1, w1 = _gl_panels(0.0, k0 - ec, first=min(0.05, (k0 - ec) / 4 + 1e-12))
-        k2, w2 = _gl_panels(k0 + ec, np.sqrt(data.lam[-1]), first=ec)
-        k = np.concatenate([k1, k2])
-        w = np.concatenate([w1, w2])
-        c = data.c_fun(k)
-        return np.einsum("q,qij->ij", w * 2 * k / (mu - k**2), c)
-
-    pv = 2 * excised(eps / 2) - excised(eps)
-    jump = 1j * np.pi * np.squeeze(data.c_fun(np.array([k0])), axis=0)
-    return pv - jump if side == "+" else pv + jump
-
-
-def _trace_boundary_sampled(data: TraceClassData, mu: float, side: str) -> np.ndarray:
-    """Sample-grid principal value: skip nodes inside the excision, Richardson in it."""
-    d = np.abs(data.lam - mu)
-    base = max(np.median(np.diff(data.lam[np.argsort(np.abs(data.lam - mu))][:8])), 1e-6)
-
-    def excised(ec):
-        mask = d > ec
-        return np.einsum(
-            "q,qij->ij", (data.weights / (mu - data.lam))[mask], data._cross[mask]
-        )
-
-    pv = 2 * excised(4 * base) - excised(8 * base)
-    idx = int(np.argmin(d))
-    jump = 1j * np.pi * data._cross[idx]
-    return pv - jump if side == "+" else pv + jump
+    mu = np.asarray(mu, dtype=float)
+    total = data.weights.sum()
+    if np.any((mu <= 0) | (mu >= total)):
+        raise ValueError(f"boundary values require 0 < mu < {total:g}, the end of the quadrature range")
+    mf = mu.reshape(-1)
+    q, p = data.lam.size, data.aux_dim
+    cross = data._cross.reshape(q, p * p)
+    x_mu = _cross_at(data, mf).reshape(-1, p * p)
+    pv = x_mu * np.log(mf / (total - mf))[:, None]
+    step = max(1, _BLOCK_ENTRIES // (q * p * p))
+    for lo in range(0, mf.size, step):
+        gap = mf[lo : lo + step, None] - data.lam
+        kern = np.divide(data.weights, gap, out=np.zeros_like(gap), where=gap != 0)
+        pv[lo : lo + step] += np.einsum("mq,mqk->mk", kern, cross - x_mu[lo : lo + step, None])
+    node = np.minimum(np.searchsorted(data.lam, mf), q - 1)
+    hit = data.lam[node] == mf
+    if hit.any():
+        at, h = mf[hit], 1e-6 * mf[hit]
+        slope = (_cross_at(data, at + h) - _cross_at(data, at - h)).reshape(-1, p * p) / (2 * h[:, None])
+        pv[hit] -= data.weights[node[hit], None] * slope
+    jump = 1j * np.pi * x_mu
+    return (pv - jump if side == "+" else pv + jump).reshape(mu.shape + (p, p))
 
 
 def build_L(data: TraceClassData, z, sheet: int = 1):
@@ -549,8 +549,7 @@ def build_L(data: TraceClassData, z, sheet: int = 1):
     jump ``+2*pi*i*C(z)`` below the axis (validated against the rank-one closed
     form) and ``-2*pi*i*C(z)`` above it.  ``z`` is a scalar or an array: ``L``
     has shape ``z.shape + (p, p)`` and the singular values ``z.shape`` (a float
-    for scalar ``z``).  Only points on ``[0, inf)`` are taken one at a time,
-    through ``trace_T_boundary``.
+    for scalar ``z``).  Points on ``[0, inf)`` take ``trace_T_boundary``.
     """
     if sheet not in (1, 2):
         raise ValueError(f"sheet must be 1 or 2, got {sheet}")
@@ -569,8 +568,8 @@ def build_L(data: TraceClassData, z, sheet: int = 1):
             jump = np.where(off.imag <= 0, 2j * np.pi, -2j * np.pi)
             ell_off += jump[:, None, None] * data.c_fun(_jump_momentum(off))
         ell[~on_axis] = ell_off
-    for i in np.flatnonzero(on_axis):
-        ell[i] = eye - trace_T_boundary(data, zf[i].real, "+" if sheet == 1 else "-")
+    if on_axis.any():
+        ell[on_axis] = eye - trace_T_boundary(data, zf[on_axis].real, "+" if sheet == 1 else "-")
     ell = ell.reshape(z.shape + (p, p))
     smin = np.linalg.svd(ell, compute_uv=False)[..., -1]
     return ell, (float(smin) if z.ndim == 0 else smin)
@@ -579,9 +578,10 @@ def build_L(data: TraceClassData, z, sheet: int = 1):
 class TraceClassModel(SMatrixModel):
     """Scattering matrix assembled from trace-class form-factor data.
 
-    CSV-loaded data supports sheet-one resolvent operations and boundary
-    values by quadrature; full two-sheet evaluation requires the analytic
-    form-factor continuation (``c_fun``) that the built-in reductions provide.
+    ``S(mu + i0) = det L(mu - i0) / det L(mu + i0)`` on ``(0, inf)``: Birman-Krein,
+    exact for multiplicity one by the matrix determinant lemma; sheet two gives
+    the inverse.  Off the axis only ``L`` exists, and on sheet two it needs the
+    analytic form-factor continuation (``c_fun``) of the built-in reductions.
     """
 
     sheet_count = 2
@@ -599,18 +599,10 @@ class TraceClassModel(SMatrixModel):
                 "off-axis S values for trace-class data are defined through build_L; "
                 "use the dedicated models for closed-form continuation"
             )
-        side = "+" if sheet == 1 else "-"
-        out = np.empty(z.shape + (self.dim_k, self.dim_k), dtype=complex)
-        for idx in np.ndindex(z.shape):
-            out[idx] = self._boundary_point(z[idx].real, side)
-        return out
-
-    def _boundary_point(self, mu: float, side: str):
-        ell = np.eye(self.data.aux_dim, dtype=complex) - trace_T_boundary(self.data, mu, side)
-        idx = int(np.argmin(np.abs(self.data.lam - mu)))
-        a = self.data.a_vals[idx]
-        b = self.data.b_vals[idx]
-        return np.eye(self.dim_k, dtype=complex) - 2j * np.pi * b @ np.linalg.solve(ell, a.conj().T)
+        if self.dim_k != 1:
+            raise NotImplementedError("trace-class S is implemented for multiplicity one")
+        s = self.pole_condition(z, 3 - sheet) / self.pole_condition(z, sheet)
+        return s.reshape(z.shape + (1, 1))
 
     def pole_condition(self, z, sheet: int = 1):
         return np.linalg.det(build_L(self.data, z, sheet)[0])

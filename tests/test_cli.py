@@ -187,6 +187,17 @@ def _write_trace_csv(path, a):
     path.write_text("\n".join(rows) + "\n")
 
 
+def test_decay_csv_traceclass_scan_failure_exit2(tmp_path):
+    # sampled form factors have no sheet-two continuation, so the default scan fails
+    _write_trace_csv(tmp_path / "factors.csv", 1.0)
+    proc = _cli("decay", "--model", '{"model": "traceclass", "file": "factors.csv"}',
+                "--out", "out", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("scan failed:")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out" / "decay.csv").exists()
+
+
 @pytest.mark.parametrize("model", [
     ["--model", "example1"],
     ["--model", '{"model": "rational", "poles": [[0.5, -0.7], [-1.2, 0.4]]}'],

@@ -1,6 +1,7 @@
 """Scattering-matrix models, trace-class machinery, and the Jost function."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,10 +154,53 @@ def test_traceclass_boundary_is_batched():
             assert np.array_equal(s[i], m.eval(lam, sheet))
 
 
+_COUPLING = st.tuples(st.floats(-2, 2), st.sampled_from([1.0, -1.0])).map(lambda t: t[1] * 10.0 ** t[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_COUPLING, mu=st.floats(-3, 3).map(lambda e: 10.0**e))
+def test_traceclass_boundary_matches_rankone(a, mu):
+    # S = det L(mu - i0)/det L(mu + i0) from quadrature against the closed form
+    model, closed = sr.TraceClassModel(sr.rankone_trace_data(a)), sr.RankOneModel(a)
+    for side in ("+", "-"):
+        s = model.boundary(mu, side)
+        assert np.abs(s - closed.boundary(mu, side)).max() < 1e-7
+        assert np.abs(np.abs(s) - 1).max() < 1e-7
+
+
+def _momentum_grid_csv(path, a):
+    """Rank-one form factors on the 4000-row grid k_j = 0.01 j (1 + j/1000), j = 1..4000."""
+    j = np.arange(1, 4001)
+    lam = (0.01 * j * (1 + j / 1000)) ** 2
+    e = np.sqrt(2 / np.pi) * lam**0.25 / (lam + 1)
+    rows = ["lambda,re_a_0_0,im_a_0_0,re_b_0_0,im_b_0_0"]
+    rows += [f"{x!r},{v!r},0.0,{a * v!r},0.0" for x, v in zip(lam.tolist(), e.tolist())]
+    path.write_text("\n".join(rows) + "\n")
+    return sr.load_trace_csv(path)
+
+
+@pytest.mark.parametrize("a", [1.0, -2.0])
+def test_trace_csv_boundary_tracks_rankone(tmp_path, a):
+    data = _momentum_grid_csv(tmp_path / "factors.csv", a)
+    # mu >= 1e-2 keeps ten samples below mu to resolve the sqrt(lam) threshold;
+    # at mu = 1e-3, with three samples below it, the error is 3.5e-3
+    mus = np.logspace(-2, 2, 81)
+    s = sr.TraceClassModel(data).boundary(mus, "+")
+    assert np.abs(s - sr.RankOneModel(a).boundary(mus, "+")).max() < 3e-3
+    nodes = data.lam[[0, 1, 2000, data.lam.size - 1]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        at_node = sr.trace_T_boundary(data, nodes, "+")
+    assert np.isfinite(at_node).all()
+    # a node takes the mean of the one-sided limits of the interpolated data
+    sides = [sr.trace_T_boundary(data, nodes * (1 + d), "+") for d in (1e-9, -1e-9)]
+    assert np.abs(at_node - (sides[0] + sides[1]) / 2).max() < 1e-7
+
+
 # Array contract: a batched call equals the loop of scalar calls.  Values are
 # compared relative to max(|value|, 1), because the trace-class quadrature sums
 # O(1) terms whose order differs between the two calls; at a pole of S both
-# calls must be non-finite.
+# calls must be non-finite, so the division by zero there is not an error.
 _CONTRACT_MODELS = [
     sr.example1(),
     sr.RankOneModel(1.0),
@@ -177,6 +221,8 @@ def _assert_matches_loop(batch, loop):
     assert np.all(err <= 1e-12 * np.maximum(np.abs(loop[finite]), 1.0))
 
 
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
 @settings(max_examples=30, deadline=None)
 @given(zs=st.lists(_OFF_AXIS, min_size=1, max_size=12))
 def test_pole_condition_array_contract(zs):
