@@ -33,6 +33,8 @@ __all__ = [
     "resonances_to_csv",
 ]
 
+_RIM_EXTENT = 8.0  # the rim scans cover [-_RIM_EXTENT, -1e-6]
+
 
 @dataclass
 class Resonance:
@@ -201,31 +203,26 @@ def rim_scan(model: SMatrixModel, x_min: float, x_max: float, sheet: int,
 
 def _kernel_and_residual(model: SMatrixModel, zeta: complex, sheet: int | None = None):
     zeta = complex(zeta)
-    # trace-class S exists only on the positive axis, so its kernels come from L
-    data = model.data if isinstance(model, TraceClassModel) else None
-    if data is None and zeta.imag == 0 and hasattr(model, "trace_data"):
-        data = model.trace_data()
-    if data is not None:
-        ell, _ = build_L(data, zeta, sheet or 1)
-        _, s, vh = np.linalg.svd(ell)
-        k, val = vh[-1].conj(), float(s[-1])
+    if isinstance(model, TraceClassModel):
+        # trace-class S exists only on the positive axis, so its kernels come from L
+        mat, _ = build_L(model.data, zeta, sheet or 1)
     elif zeta.imag == 0 and model.sheet_count == 2:
-        val = abs(complex(model.pole_condition(zeta, sheet or 1)))
         k = np.ones(model.dim_k, dtype=complex)
+        return k / np.linalg.norm(k), abs(complex(model.pole_condition(zeta, sheet or 1)))
     else:
-        s_at_conj = np.conj(model.eval_physical(np.conj(zeta))).T
-        _, s, vh = np.linalg.svd(np.atleast_2d(s_at_conj))
-        k, val = vh[-1].conj(), float(s[-1])
-    return k / np.linalg.norm(k), val
+        mat = np.conj(model.eval_physical(np.conj(zeta))).T
+    _, s, vh = np.linalg.svd(np.atleast_2d(mat))
+    k = vh[-1].conj()
+    return k / np.linalg.norm(k), float(s[-1])
 
 
 def kernel_vector(model: SMatrixModel, zeta: complex, sheet: int | None = None) -> np.ndarray:
     """Unit vector minimizing ``||S(conj(zeta))* k||`` at a located pole.
 
     Raises when the minimized value stays above 1e-6, which signals
-    that the point is not a genuine pole.  For poles on the negative axis the
-    scattering matrix itself is singular at the conjugate point, so the kernel
-    is read from the resolvent-kernel matrix when one is available.
+    that the point is not a genuine pole.  On the negative axis, where S is
+    singular at the conjugate point, the kernel is ``[1]`` with residual
+    ``|pole_condition|``; trace-class models read both from ``L``.
     """
     k, val = _kernel_and_residual(model, zeta, sheet)
     if val > 1e-6:
@@ -265,7 +262,7 @@ def conjugate_pair_audit(resonances: list[Resonance], model: SMatrixModel,
 
 
 def find_resonances(model: SMatrixModel, regions: list[ScanRegion] | None = None,
-                    rims: bool = True, rim_extent: float = 8.0) -> list[Resonance]:
+                    rims: bool = True) -> list[Resonance]:
     """Scan default or user regions, refine candidates, and scan the rims."""
     if regions is None:
         if model.sheet_count == 1:
@@ -287,7 +284,7 @@ def find_resonances(model: SMatrixModel, regions: list[ScanRegion] | None = None
             found.append(res)
     if rims and model.sheet_count == 2:
         for sheet in (1, 2):
-            found.extend(rim_scan(model, -rim_extent, -1e-6, sheet))
+            found.extend(rim_scan(model, -_RIM_EXTENT, -1e-6, sheet))
     deduped: list[Resonance] = []
     for r in sorted(found, key=lambda r: (r.sheet, r.zeta.real, r.zeta.imag)):
         if all(abs(r.zeta - o.zeta) > 1e-8 or r.sheet != o.sheet for o in deduped):

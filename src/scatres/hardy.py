@@ -1,6 +1,6 @@
 """Uniform grid on the real line, unitary Fourier transform, half-line and
 Hardy-class projections, Cauchy evaluation off the axis, and the rational
-orthonormal basis of the upper Hardy class.
+orthonormal basis of the upper Hardy class, sampled once per grid.
 
 The Fourier convention is ``(Ff)(lam) = (2*pi)**-0.5 * int e^{-i*lam*x} f(x) dx``,
 so boundary functions of the upper half plane have inverse transforms supported
@@ -299,7 +299,7 @@ def cauchy_eval(f: GridFunction, z: complex) -> np.ndarray:
 
 def _phi_samples(lam: np.ndarray, count: int) -> np.ndarray:
     t = (lam - 1j) / (lam + 1j)
-    out = np.empty((lam.size, count), dtype=complex)
+    out = np.empty((lam.size, count), dtype=complex, order="F")
     cur = 1.0 / (np.sqrt(np.pi) * (lam + 1j))
     for j in range(count):
         out[:, j] = cur
@@ -308,18 +308,17 @@ def _phi_samples(lam: np.ndarray, count: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
+def _phi_store(grid: Grid) -> list:
+    return [np.empty((grid.n_points, 0), dtype=complex, order="F")]
+
+
 def _phi_matrix(grid: Grid, count: int) -> np.ndarray:
-    return _phi_samples(grid.points(), count)
-
-
-@lru_cache(maxsize=8)
-def _phi_gram_cho(grid: Grid, count: int) -> np.ndarray:
-    from scipy.linalg.blas import zgemm
-
-    phi = _phi_matrix(grid, count)
-    # h phi^T conj(phi) = conj(phi^H phi), by BLAS on the transposed view: no
-    # conjugate copy of phi
-    return np.linalg.cholesky(zgemm(grid.spacing, phi.T, phi.T, trans_b=2).conj())
+    """First ``count`` basis columns: a read-only prefix of the grid's widest."""
+    store = _phi_store(grid)
+    if store[0].shape[1] < count:
+        store[0] = _phi_samples(grid.points(), count)
+        store[0].flags.writeable = False
+    return store[0] if store[0].shape[1] == count else store[0][:, :count]
 
 
 def mt_basis(j: int, grid: Grid, m: int = 1, component: int = 0) -> GridFunction:
@@ -356,21 +355,21 @@ def mt_coefficients_grid(f: GridFunction, count: int) -> np.ndarray:
 
     Solving with the basis Gram matrix makes extract-then-synthesize the exact
     identity on functions already in the span, so truncation projections are
-    idempotent at machine precision.
+    idempotent at machine precision.  As ``conj(phi_j) phi_k`` is
+    ``t^(k-j)/(pi (1 + lam^2))`` with ``|t| = 1``, the Gram is Toeplitz.
     """
+    from scipy.linalg import toeplitz
+
     phi = _phi_matrix(f.grid, count)
     # phi^H f as conj(phi^T conj(f)): only the n x m input is conjugated
     rhs = f.grid.spacing * (phi.T @ f.samples.conj()).conj()
-    cho = _phi_gram_cho(f.grid, count)
-    y = np.linalg.solve(cho, rhs)
-    return np.linalg.solve(cho.conj().T, y)
+    row = f.grid.spacing * (phi[:, 0].conj() @ phi)
+    return np.linalg.solve(toeplitz(row.conj(), row), rhs)
 
 
 def mt_synthesize(coefs: np.ndarray, grid: Grid) -> GridFunction:
     """Sample ``sum_k coefs[k] * phi_k`` on the grid; coefs shape (D,) or (D, m)."""
-    c = np.asarray(coefs, dtype=complex)
-    if c.ndim == 1:
-        c = c[:, None]
+    c = np.asarray(coefs, dtype=complex).reshape(len(coefs), -1)
     phi = _phi_matrix(grid, c.shape[0])
     return GridFunction(grid, phi @ c)
 
@@ -381,9 +380,7 @@ def mt_point_eval(coefs: np.ndarray, z: complex) -> np.ndarray:
     For points off the closed upper half plane this is the meromorphic
     continuation of the truncated expansion.
     """
-    c = np.asarray(coefs, dtype=complex)
-    if c.ndim == 1:
-        c = c[:, None]
+    c = np.asarray(coefs, dtype=complex).reshape(len(coefs), -1)
     z = complex(z)
     t = (z - 1j) / (z + 1j)
     powers = t ** np.arange(c.shape[0])

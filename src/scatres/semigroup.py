@@ -30,6 +30,9 @@ __all__ = [
     "generator_matrix",
 ]
 
+_OFFSET_TOL = 5e-2  # largest wrong-side residual of generator_offset
+_ISOMETRY_CUTOFF = 1e-8  # relative floor of the retained singular values
+
 
 def apply_T(f: GridFunction, t: float) -> GridFunction:
     """Outgoing shift semigroup: multiplication by ``e^{i*t*lam}``, t >= 0."""
@@ -63,7 +66,7 @@ class GeneratorSample:
     residual: float
 
 
-def generator_offset(f: GridFunction, residual_tol: float = 5e-2) -> GeneratorSample:
+def generator_offset(f: GridFunction) -> GeneratorSample:
     """Recover the multiplicity-space offset that puts ``lam*f + k0`` in the Hardy class.
 
     The offset is the negative of the constant term in the tail expansion
@@ -78,7 +81,7 @@ def generator_offset(f: GridFunction, residual_tol: float = 5e-2) -> GeneratorSa
     image = GridFunction(f.grid, lam[:, None] * f.samples + k0[None, :])
     wrong = _matched_cut(image, "-")
     residual = norm(wrong) / max(norm(image), 1e-300)
-    if residual > residual_tol:
+    if residual > _OFFSET_TOL:
         raise RuntimeError(
             f"generator offset did not converge: wrong-side residual {residual:.3e}"
         )
@@ -167,9 +170,7 @@ class IsometryPair:
         return [GridFunction(self.grid, cols[:, i]) for i in range(self.rank)]
 
 
-def build_polar_isometry(
-    grid: Grid, rank_budget: int = 48, cutoff: float = 1e-8
-) -> IsometryPair:
+def build_polar_isometry(grid: Grid, rank_budget: int = 48) -> IsometryPair:
     """SVD polar factor of the half-line-projected Hardy basis, by a two-block QR.
 
     The grid puts lam < 0 in its first n/2 rows, so the truncated basis splits
@@ -178,7 +179,7 @@ def build_polar_isometry(
     orthonormalizes it: ``q = [Q- Z-; Q+ Z+]`` (two-block TSQR).  The
     half-line projection of ``q`` is ``[0; Q+ Z+]``, so the SVD of the r x r
     block ``Z+ = U S V^H`` gives the singular values, and the partial isometry
-    is ``w = [0; Q+ U V^H]`` with singular values below ``cutoff * sigma_max``
+    is ``w = [0; Q+ U V^H]`` with singular values below ``_ISOMETRY_CUTOFF * sigma_max``
     dropped.  ``Q-`` and ``Q+`` stay as the reflectors ``geqrf`` returns and
     only r x r blocks are formed besides: no explicit Q, ``q`` or ``w`` and no
     n x r product (see :class:`IsometryPair`).  The work is the two n/2 x r
@@ -192,13 +193,12 @@ def build_polar_isometry(
     if rank_budget < 1 or rank_budget > grid.n_points // 2:
         raise ValueError("rank_budget out of range")
     half = grid.n_points // 2
-    # the basis is cached and shared: geqrf works on a copy (no overwrite_a)
-    phi = _phi_matrix(grid, rank_budget)
+    phi = _phi_matrix(grid, rank_budget)  # cached and read-only: geqrf copies it
     minus, r_minus = qr(phi[:half], mode="raw", check_finite=False)
     plus, r_plus = qr(phi[half:], mode="raw", check_finite=False)
     z, _ = qr(np.vstack([r_minus, r_plus]), mode="economic", check_finite=False)
     u, s, vh = np.linalg.svd(z[rank_budget:])
-    keep = s >= cutoff * s[0]
+    keep = s >= _ISOMETRY_CUTOFF * s[0]
     if not keep.any():
         raise RuntimeError("all singular values fell below the cutoff")
     return IsometryPair(

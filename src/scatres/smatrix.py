@@ -40,6 +40,8 @@ __all__ = [
     "model_from_spec",
 ]
 
+_RANKONE_K_MAX = 2000.0  # momentum cutoff of the rank-one quadrature
+
 
 def momentum(z, sheet: int):
     """Momentum ``k`` with ``z = k^2``; sheet 1 has Im k >= 0, sheet 2 the mirror.
@@ -430,7 +432,7 @@ def _gl_panels(k_start: float, k_stop: float):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def rankone_trace_data(a: float, k_max: float = 2000.0) -> TraceClassData:
+def rankone_trace_data(a: float) -> TraceClassData:
     """Rank-one reduction: scalar form factors ``sqrt(2/pi) lam^{1/4}/(lam+1)``.
 
     Quadrature nodes come from geometric Gauss-Legendre panels in the momentum
@@ -438,7 +440,7 @@ def rankone_trace_data(a: float, k_max: float = 2000.0) -> TraceClassData:
     """
     if a == 0:
         raise ValueError("coupling a must be nonzero")
-    k, wk = _gl_panels(0.0, k_max)
+    k, wk = _gl_panels(0.0, _RANKONE_K_MAX)
     lam = k**2
     w = 2 * k * wk
     e = np.sqrt(2 / np.pi) * lam**0.25 / (lam + 1)
@@ -451,7 +453,7 @@ def rankone_trace_data(a: float, k_max: float = 2000.0) -> TraceClassData:
         val = a * (2 / np.pi) * kk / (kk**2 + 1) ** 2
         return val.reshape(np.shape(kk) + (1, 1))
 
-    tail = abs(a) * (2 / np.pi) / (3 * k_max**3)  # integral of |C| beyond the cutoff
+    tail = abs(a) * (2 / np.pi) / (3 * _RANKONE_K_MAX**3)  # integral of |C| beyond the cutoff
     return TraceClassData(lam=lam, weights=w, a_vals=a_vals, b_vals=b_vals,
                           c_fun=c_fun, tail_bound=tail)
 
@@ -641,6 +643,7 @@ def load_trace_csv(path) -> TraceClassData:
         target = a_vals if parts[1] == "a" else b_vals
         target[:, i, j] += body[:, col] * (1 if parts[0] == "re" else 1j)
     w = np.gradient(lam)
+    w[0] /= 2  # trapezoid start; the whole last interval keeps every sample below sum(w)
     tail = float(np.linalg.norm(a_vals[-1]) * np.linalg.norm(b_vals[-1]))
     return TraceClassData(lam=lam, weights=w, a_vals=a_vals, b_vals=b_vals, tail_bound=tail)
 

@@ -43,6 +43,8 @@ __all__ = [
 ]
 
 N_THETA = 2**16
+_RANK_CUTOFF = 1e-6  # relative floor of the singular values of S*N kept in M
+_RESOLVENT_TOL = 5e-2  # largest generator-identity residual of resolve_B
 
 
 @dataclass
@@ -131,7 +133,7 @@ def build_N_basis(model: SMatrixModel, n: int, mode: str, grid: Grid) -> Subspac
     )
 
 
-def build_M_and_T(model: SMatrixModel, n_basis: SubspaceBasis, cutoff: float = 1e-6,
+def build_M_and_T(model: SMatrixModel, n_basis: SubspaceBasis,
                   n_theta: int = N_THETA) -> tuple[SubspaceBasis, SubspaceBasis]:
     """Image subspace ``M = S*N`` and its orthogonal complement T.
 
@@ -173,7 +175,7 @@ def build_M_and_T(model: SMatrixModel, n_basis: SubspaceBasis, cutoff: float = 1
                                  "singular values and Hardy leakage are not finite")
 
     u, s, _ = np.linalg.svd(m_cols, full_matrices=True)
-    rank = int(np.sum(s >= cutoff * s[0])) if s.size else 0
+    rank = int(np.sum(s >= _RANK_CUTOFF * s[0])) if s.size else 0
     m_coefs = u[:, :rank]
     t_coefs = u[:, rank:]
     diag = {
@@ -181,7 +183,7 @@ def build_M_and_T(model: SMatrixModel, n_basis: SubspaceBasis, cutoff: float = 1
         "rank": rank,
         "dim_T": d_work - rank,
         "hardy_leakage": leakage.tolist(),
-        "cutoff": cutoff,
+        "cutoff": _RANK_CUTOFF,
     }
     m_basis = SubspaceBasis(role="M", grid=n_basis.grid, coefs=m_coefs, model=model,
                             params=dict(n_basis.params), diagnostics=diag)
@@ -291,8 +293,7 @@ def restricted_apply(t_basis: SubspaceBasis, f, t: float) -> GridFunction:
     return mt_synthesize(evolved, t_basis.grid)
 
 
-def resolve_B(t_basis: SubspaceBasis, g, z: complex, resonances=None,
-              verify_tol: float = 5e-2) -> GridFunction:
+def resolve_B(t_basis: SubspaceBasis, g, z: complex, resonances=None) -> GridFunction:
     """Constructive resolvent of the restricted generator at a regular point.
 
     Builds ``f = (g - k0)/(lam - z)`` with ``k0`` the continuation of ``g``
@@ -331,7 +332,7 @@ def resolve_B(t_basis: SubspaceBasis, g, z: complex, resonances=None,
         f_samples[j, 0] = (mt_point_eval(c, z + h)[0] - mt_point_eval(c, z - h)[0]) / (2 * h)
     f = GridFunction(t_basis.grid, f_samples)
     residual = resolvent_residual(t_basis, f, g_grid, z)
-    if residual > verify_tol:
+    if residual > _RESOLVENT_TOL:
         raise RuntimeError(f"resolvent verification failed: residual {residual:.3e}")
     return f
 

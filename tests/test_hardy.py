@@ -5,6 +5,7 @@ import pytest
 
 import scatres as sr
 from conftest import rational_sum
+from scatres import hardy
 
 
 def test_make_grid_basic():
@@ -189,6 +190,59 @@ def test_mt_expand_matches_residue_closed_form():
     zeta = 1 - 1j
     c = sr.mt_expand(lambda lam: 1 / (lam - zeta), 32)
     assert np.abs(c - sr.gamov_coefficients(zeta, 32)).max() < 1e-12
+
+
+@pytest.fixture
+def fresh_basis_cache():
+    # the basis is cached per grid and only ever widened: start from an empty
+    # cache so the widening order is the one under test, and leave none behind
+    # so later tests on the same grids see the widths they ask for
+    hardy._phi_store.cache_clear()
+    yield
+    hardy._phi_store.cache_clear()
+
+
+def test_basis_counts_are_column_prefixes(fresh_basis_cache):
+    g = sr.make_grid(2**14, 400.0)
+    wide = hardy._phi_matrix(g, 48)
+    assert hardy._phi_matrix(g, 48) is wide
+    narrow = hardy._phi_matrix(g, 32)
+    assert np.shares_memory(narrow, wide)
+    assert np.array_equal(narrow, hardy._phi_samples(g.points(), 32))
+    for phi in (wide, narrow):
+        with pytest.raises(ValueError):
+            phi[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n, half_extent, counts", [
+    (2**14, 400.0, (8, 48, 16)),
+    # at 48 columns on this coarse grid the Gram's condition number is 7e7,
+    # beyond what any Gram solve recovers to 1e-12
+    (2**10, 50.0, (8, 40, 16)),
+])
+def test_mt_coefficients_recover_span_in_any_count_order(fresh_basis_cache, n, half_extent,
+                                                         counts):
+    g = sr.make_grid(n, half_extent)
+    rng = np.random.default_rng(n)
+    for count in counts:
+        c = rng.standard_normal((count, 2)) + 1j * rng.standard_normal((count, 2))
+        got = sr.mt_coefficients_grid(sr.mt_synthesize(c, g), count)
+        assert np.abs(got - c).max() < 1e-12
+
+
+@pytest.mark.parametrize("n, half_extent, count", [
+    (2**14, 400.0, 64), (2**10, 50.0, 40), (2**15, 1600.0, 48),
+])
+def test_basis_gram_is_toeplitz(fresh_basis_cache, n, half_extent, count):
+    # conj(phi_j) phi_k = t^(k-j)/(pi (1 + lam^2)) on the real line, so the
+    # Gram matrix is fixed by its first row
+    from scipy.linalg import toeplitz
+
+    g = sr.make_grid(n, half_extent)
+    phi = hardy._phi_matrix(g, count)
+    row = g.spacing * (phi[:, 0].conj() @ phi)
+    full = g.spacing * (phi.conj().T @ phi)
+    assert np.abs(toeplitz(row.conj(), row) - full).max() < 1e-13
 
 
 def test_mt_synthesize_point_eval(grid):

@@ -197,6 +197,15 @@ def test_trace_csv_boundary_tracks_rankone(tmp_path, a):
     assert np.abs(at_node - (sides[0] + sides[1]) / 2).max() < 1e-7
 
 
+def test_trace_csv_weights_resolve_threshold(tmp_path):
+    # the first sample sits near the threshold lam = 0, where a full-interval
+    # weight doubles the trapezoid rule's and costs 1.7e-3 at mu = 1e-3
+    data = _momentum_grid_csv(tmp_path / "factors.csv", -2.0)
+    mus = np.array([1e-3, 1e-2, 0.1, 1.0, 10.0])
+    s = sr.TraceClassModel(data).boundary(mus, "+")
+    assert np.abs(s - sr.RankOneModel(-2.0).boundary(mus, "+")).max() < 1e-3
+
+
 # Array contract: a batched call equals the loop of scalar calls.  Values are
 # compared relative to max(|value|, 1), because the trace-class quadrature sums
 # O(1) terms whose order differs between the two calls; at a pole of S both
