@@ -204,11 +204,8 @@ class RankOneModel(SMatrixModel):
         s = 1 - 4j * a * k / ((1 + 1j * k) ** 2 * (a + (1 - 1j * k) ** 2))
         return s.reshape(z.shape + (1, 1))
 
-    def l_value(self, z, sheet: int = 1):
-        return 1 - self.a * rankone_resolvent_elem(z, sheet)
-
     def pole_condition(self, z, sheet: int = 1):
-        return self.l_value(z, sheet)
+        return 1 - self.a * rankone_resolvent_elem(z, sheet)
 
     def eigen_momenta(self) -> list[complex]:
         """Both roots of ``(1 - ik)^2 + a = 0`` in the momentum plane."""
@@ -375,9 +372,6 @@ class SquareWellModel(SMatrixModel):
 
     def upper_rim_poles(self):
         return [(-kap**2, 1) for kap in self.bound_state_momenta()]
-
-    def upper_half_poles(self):
-        return []
 
 
 # ---------------------------------------------------------------------------

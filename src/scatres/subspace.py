@@ -82,6 +82,20 @@ def _require_scalar(model: SMatrixModel):
         raise NotImplementedError("subspace construction is implemented for multiplicity one")
 
 
+def _constraint_polynomial(factors: list[tuple[complex, int]]) -> np.ndarray:
+    """The multiplier ``P = prod((lam - p)/(lam + i))^{g_p}`` as a polynomial in t.
+
+    In ``t = (lam - i)/(lam + i)`` each factor ``(lam - p)/(lam + i)`` is the
+    linear polynomial ``((i - p) + (i + p) t)/(2i)``; the coefficients come in
+    increasing powers of t.
+    """
+    poly = np.ones(1, dtype=complex)
+    for pos, g in factors:
+        for _ in range(g):
+            poly = np.convolve(poly, [(1j - pos) / 2j, (1j + pos) / 2j])
+    return poly
+
+
 def build_N_basis(model: SMatrixModel, n: int, mode: str, grid: Grid) -> SubspaceBasis:
     """Constrained subspace inside the working truncation.
 
@@ -92,10 +106,9 @@ def build_N_basis(model: SMatrixModel, n: int, mode: str, grid: Grid) -> Subspac
     ``p(lam)/(lam + i)^g`` with ``p`` the monic polynomial over the rim poles.
     With no constraints the result is the full truncated basis.
 
-    In ``t = (lam - i)/(lam + i)`` each factor ``(lam - xi)/(lam + i)`` is the
-    linear polynomial ``((i - xi) + (i + xi) t)/(2i)`` and ``phi_j`` carries
-    ``t^j``, so the multiplied basis has exact coefficients: the product
-    polynomial shifted down by ``j`` rows in column ``j``.
+    The multiplier is a polynomial in ``t = (lam - i)/(lam + i)`` and ``phi_j``
+    carries ``t^j``, so the multiplied basis has exact coefficients: the
+    product polynomial shifted down by ``j`` rows in column ``j``.
     """
     _require_scalar(model)
     if n < 1:
@@ -112,12 +125,8 @@ def build_N_basis(model: SMatrixModel, n: int, mode: str, grid: Grid) -> Subspac
             raise ValueError("rim poles must sit on the negative axis")
     else:
         raise ValueError(f"mode must be 'upper_poles' or 'rim_poles', got {mode!r}")
-    g_total = sum(g for _, g in factors)
-
-    poly = np.ones(1, dtype=complex)
-    for pos, g in factors:
-        for _ in range(g):
-            poly = np.convolve(poly, [(1j - pos) / 2j, (1j + pos) / 2j])
+    poly = _constraint_polynomial(factors)
+    g_total = poly.size - 1
     d_work = n + g_total
     cols = np.zeros((d_work, n), dtype=complex)
     for j in range(n):
@@ -225,48 +234,29 @@ def _project_coefs(t_basis: SubspaceBasis, f) -> tuple[np.ndarray, float]:
 
 
 def _continuation_below(t_basis: SubspaceBasis, g: GridFunction, z: complex) -> complex:
-    """Value of the continued admissible-subspace element below the axis.
+    """Value below the axis of the continuation of an admissible element g.
 
-    Uses the factorization through the scattering matrix: the adjoint boundary
-    values of g split into a lower-Hardy part (evaluated by a stable Cauchy
-    integral at z) and, for models with upper-half-plane poles, a closed-form
-    deficiency part; rim poles are handled by the polynomial weight that makes
-    the adjoint image square integrable.  This avoids continuing the truncated
-    expansion itself, which loses a factor ``|t(z)|`` per basis order.
+    With ``P`` the multiplier N is built from, the continuation is
+    ``S(z) * C_-[conj(P S_+) g](z) / conj(P(conj z))`` with ``C_-`` the Cauchy
+    integral below the axis.  It is exact for g orthogonal to ``S*N``:
+    ``conj(S_+) g`` is a lower-Hardy part plus a deficiency part with poles at
+    the conjugate constraint points, and ``conj(P)`` is bounded and analytic
+    below the axis and vanishes there, so the product is lower-Hardy.  At rim
+    poles ``conj(P)`` also tames the peaks of ``S_+``.  This avoids continuing
+    the truncated expansion itself, which loses a factor ``|t(z)|`` per basis
+    order.  Above the axis g is its own continuation (see :func:`resolve_B`).
     """
     model = t_basis.model
-    grid = t_basis.grid
-    lam = grid.points()
+    lam = t_basis.grid.points()
+    poly = _constraint_polynomial(t_basis.params["constraints"])
+
+    def multiplier(x):
+        return np.polynomial.polynomial.polyval((x - 1j) / (x + 1j), poly)
+
     s_plus = model.boundary(lam, "+")[:, 0, 0]
-    mode = t_basis.params.get("mode")
-    constraints = t_basis.params.get("constraints", [])
-    if mode == "rim_poles":
-        g_ord = sum(gj for _, gj in constraints)
-        wgt = np.ones_like(lam, dtype=complex)
-        for pos, gj in constraints:
-            wgt = wgt * (lam - pos) ** gj
-        wgt = wgt / (lam - 1j) ** g_ord
-        h_minus = GridFunction(grid, wgt[:, None] * np.conj(s_plus)[:, None] * g.samples)
-        val = complex(cauchy_eval(h_minus, z)[0])
-        pz = np.prod([(z - pos) ** gj for pos, gj in constraints]) if constraints else 1.0
-        s_at = complex(model.eval_physical(z)[0, 0])
-        return complex((z - 1j) ** g_ord / pz * s_at * val)
-    # upper-pole case: subtract the deficiency content before the Cauchy step
-    w = GridFunction(grid, np.conj(s_plus)[:, None] * g.samples)
-    val = complex(cauchy_eval(w, z)[0])
-    fam_vals, fam_at_z = [], []
-    for xi, gj in constraints:
-        for order in range(1, gj + 1):
-            fam_vals.append(1.0 / (lam - np.conj(xi)) ** order)
-            fam_at_z.append(1.0 / (z - np.conj(xi)) ** order)
-    if fam_vals:
-        fam = np.stack(fam_vals, axis=1)
-        gram = grid.spacing * (fam.conj().T @ fam)
-        rhs = grid.spacing * (fam.conj().T @ w.samples[:, 0])
-        coef = np.linalg.solve(gram, rhs)
-        val += complex(coef @ np.asarray(fam_at_z))
+    h = GridFunction(t_basis.grid, np.conj(multiplier(lam) * s_plus)[:, None] * g.samples)
     s_at = complex(model.eval_physical(z)[0, 0])
-    return s_at * val
+    return s_at * complex(cauchy_eval(h, z)[0]) / np.conj(multiplier(np.conj(z)))
 
 
 def restricted_apply(t_basis: SubspaceBasis, f, t: float) -> GridFunction:
@@ -297,8 +287,11 @@ def resolve_B(t_basis: SubspaceBasis, g, z: complex, resonances=None) -> GridFun
     """Constructive resolvent of the restricted generator at a regular point.
 
     Builds ``f = (g - k0)/(lam - z)`` with ``k0`` the continuation of ``g``
-    evaluated at ``z`` through the truncation coefficients, then verifies the
-    generator identity by recovering the offset of ``f`` independently.
+    evaluated at ``z``: above the axis g lies in the upper Hardy class and is
+    its own continuation, so ``k0`` is the Cauchy integral of g itself; below
+    it ``k0`` comes from :func:`_continuation_below`; on the axis it is the
+    boundary value of g.  The generator identity is then verified by
+    recovering the offset of ``f`` independently.
     """
     z = complex(z)
     if resonances is not None:
@@ -320,6 +313,8 @@ def resolve_B(t_basis: SubspaceBasis, g, z: complex, resonances=None) -> GridFun
             np.polynomial.polynomial.polyfit(lam[stencil], g_samples[stencil, 0], 3)
             @ z.real ** np.arange(4)
         )
+    elif z.imag > 0:
+        k0 = complex(cauchy_eval(g_grid, z)[0])
     else:
         k0 = _continuation_below(t_basis, g_grid, z)
     denom = lam - z

@@ -225,8 +225,9 @@ def test_polar_isometry_leaves_cached_basis_unchanged():
     phi = _phi_matrix(g, 40)
     before = phi.copy()
     sr.build_polar_isometry(g, rank_budget=40)
-    assert _phi_matrix(g, 40) is phi
-    assert np.array_equal(phi, before)
+    again = _phi_matrix(g, 40)
+    assert np.shares_memory(again, phi)
+    assert np.array_equal(again, before)
 
 
 def test_polar_isometry_validation(grid):

@@ -276,12 +276,23 @@ def test_b_matrix_spectrum(ex1_bases, rankone_bases, grid):
         assert min(abs(ev_fine - z)) < 1e-2
 
 
-def test_resolve_B_on_eigenvector(ex1_bases, grid):
-    _, _, _, tb = ex1_bases
-    e = sr.gamov(ZETA, 1.0, grid)
-    f = sr.resolve_B(tb, e, -3j, resonances=[ZETA])
-    target = e * (1 / (ZETA + 3j))
-    assert sr.norm(f - target) / sr.norm(target) < 1e-2
+def test_resolve_B_on_eigenvector(grid):
+    # (B - z)^-1 e = e/(zeta - z) for the slowest Gamov vector, on both sides
+    # of the axis
+    for poles in (
+        [1j, 1 - 1j],  # example1
+        [1 - 1j, 0.5 + 0.3j, 0.5 + 0.3j],  # double upper pole
+        [0.2 - 0.8j, 0.1 + 0.05j],  # upper pole near the axis
+        [-1 - 0.7j, 2 + 2j, -2 + 0.2j, -1.5 - 1j],
+    ):
+        model = sr.RationalModel(poles)
+        zeta = max((p for p in poles if p.imag < 0), key=lambda p: p.imag)
+        _, tb = sr.build_M_and_T(model, sr.build_N_basis(model, 16, "upper_poles", grid))
+        e = sr.gamov(zeta, 1.0, grid)
+        for z in (-3j, -5j, 2 - 4j, -2 - 6j, 1 + 1j, 2j):
+            f = sr.resolve_B(tb, e, z, resonances=[zeta])
+            target = e * (1 / (zeta - z))
+            assert sr.norm(f - target) / sr.norm(target) < 1e-6, (poles, z)
 
 
 def test_resolve_B_round_trip_real_points(ex1_bases, grid):
