@@ -131,6 +131,8 @@ def cmd_resonances(model, a, v0, radius, region, sheet, out_dir):
     try:
         mdl = _parse_model(model, a, v0, radius)
         regions = None
+        if sheet is not None and region is None:
+            raise click.UsageError("--sheet needs --region")
         if region is not None:
             regions = [_parse_region(region, sheet or (2 if mdl.sheet_count == 2 else 1))]
         os.makedirs(out_dir, exist_ok=True)

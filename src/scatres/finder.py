@@ -2,9 +2,9 @@
 argument-principle counting on cell boundaries, Newton refinement, kernel
 vectors, rim scans along the negative axis, and the conjugate-pair audit.
 
-Rim scans sample the real pole condition on the negative axis and polish each
-sign-change bracket with the in-house port of Brent's method in ``smatrix``,
-so pole finding needs numpy only.
+Rim scans sample the real pole condition on the negative axis and polish all
+sign-change brackets together, one batched pole-condition call per step, so
+pole finding needs numpy only.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def rim_scan(model: SMatrixModel, x_min: float, x_max: float, sheet: int,
     vals = model.pole_condition(xs.astype(complex), sheet)
     if np.max(np.abs(vals.imag)) > 1e-9 * max(np.max(np.abs(vals)), 1.0):
         raise RuntimeError("rim pole condition is not real; no robust bracketing available")
-    roots = _sign_change_roots(lambda x: float(np.real(model.pole_condition(complex(x), sheet))),
+    roots = _sign_change_roots(lambda x: model.pole_condition(x.astype(complex), sheet).real,
                                xs, vals.real)
     return [_classify(model, complex(root), sheet, 0) for root in roots]
 
@@ -205,7 +205,7 @@ def _kernel_and_residual(model: SMatrixModel, zeta: complex, sheet: int | None =
     zeta = complex(zeta)
     if isinstance(model, TraceClassModel):
         # trace-class S exists only on the positive axis, so its kernels come from L
-        mat, _ = build_L(model.data, zeta, sheet or 1)
+        mat = build_L(model.data, zeta, sheet or 1)
     elif zeta.imag == 0 and model.sheet_count == 2:
         k = np.ones(model.dim_k, dtype=complex)
         return k / np.linalg.norm(k), abs(complex(model.pole_condition(zeta, sheet or 1)))
@@ -261,8 +261,7 @@ def conjugate_pair_audit(resonances: list[Resonance], model: SMatrixModel,
     return report
 
 
-def find_resonances(model: SMatrixModel, regions: list[ScanRegion] | None = None,
-                    rims: bool = True) -> list[Resonance]:
+def find_resonances(model: SMatrixModel, regions: list[ScanRegion] | None = None) -> list[Resonance]:
     """Scan default or user regions, refine candidates, and scan the rims."""
     if regions is None:
         if model.sheet_count == 1:
@@ -282,7 +281,7 @@ def find_resonances(model: SMatrixModel, regions: list[ScanRegion] | None = None
             except RuntimeError:  # Newton failed or left the continuation domain
                 continue
             found.append(res)
-    if rims and model.sheet_count == 2:
+    if model.sheet_count == 2:
         for sheet in (1, 2):
             found.extend(rim_scan(model, -_RIM_EXTENT, -1e-6, sheet))
     deduped: list[Resonance] = []

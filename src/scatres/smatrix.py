@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -228,68 +227,45 @@ class RankOneModel(SMatrixModel):
 # real roots from sign changes
 
 
-def _brent_root(f, a: float, b: float, maxiter: int = 100) -> float:
-    """Root of ``f`` in the bracket ``[a, b]`` by Brent's method.
-
-    A step-for-step port of scipy's ``brentq.c`` (Brent 1973, ch. 4) with
-    ``xtol = 1e-14`` and ``rtol = 4 eps``, so that it returns the same double.
-    """
-    xtol, rtol = 1e-14, 4 * np.finfo(float).eps
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-
-    def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
-        return fx
-
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"Brent's method failed to converge after {maxiter} iterations, "
-                       f"value is {xcur}")
-
-
 def _sign_change_roots(f, xs: np.ndarray, vals: np.ndarray) -> list[float]:
-    """Roots of the scalar ``f`` from real samples ``vals = f(xs)``.
+    """Real roots of the array function ``f`` from samples ``vals = f(xs)``, ascending.
 
-    Each exact zero of ``vals`` is a root; each sign change between adjacent
-    samples is a bracket polished by :func:`_brent_root`.
+    Each exact zero of ``vals`` is a root.  All sign-change brackets between
+    adjacent samples are polished together, one call of ``f`` per step on every
+    open bracket: Newton with the central-difference slope of
+    :func:`scatres.finder.refine` from the secant point, bisection whenever a
+    step leaves its bracket, until a step is below Brent's tolerance
+    ``1e-14 + 4 eps |x|``.  A NaN value raises ``ValueError``, 100 steps
+    without convergence ``RuntimeError``.
     """
-    return [float(xs[i]) if vals[i] == 0 else _brent_root(f, xs[i], xs[i + 1])
-            for i in np.flatnonzero((vals[:-1] == 0) | (vals[:-1] * vals[1:] < 0))]
+    zero = np.flatnonzero(vals[:-1] == 0)
+    idx = np.flatnonzero(vals[:-1] * vals[1:] < 0)
+    lo, hi, f_lo = xs[idx], xs[idx + 1], vals[idx]
+    x = lo - f_lo * (hi - lo) / (vals[idx + 1] - f_lo)
+    live = np.arange(idx.size)
+    for _ in range(100):
+        if not live.size:
+            break
+        xl = x[live]
+        h = 1e-7 * np.maximum(1.0, np.abs(xl))
+        f0, f_plus, f_minus = np.reshape(f(np.concatenate([xl, xl + h, xl - h])), (3, -1))
+        if np.isnan(f0).any():
+            raise ValueError(f"the function value at x={xl[np.isnan(f0)][0]} is NaN; "
+                             "solver cannot continue")
+        keep_lo = np.sign(f0) == np.sign(f_lo[live])
+        lo[live] = np.where(keep_lo, xl, lo[live])
+        f_lo[live] = np.where(keep_lo, f0, f_lo[live])
+        hi[live] = np.where(keep_lo, hi[live], xl)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_new = xl - f0 * 2 * h / (f_plus - f_minus)
+        inside = (x_new > lo[live]) & (x_new < hi[live])
+        x_new = np.where(f0 == 0, xl, np.where(inside, x_new, (lo[live] + hi[live]) / 2))
+        x[live] = x_new
+        live = live[np.abs(x_new - xl) >= 1e-14 + 4 * np.finfo(float).eps * np.abs(x_new)]
+    if live.size:
+        raise RuntimeError(f"root polishing failed to converge after 100 steps, values {x[live]}")
+    roots = np.concatenate([xs[zero], x])
+    return [float(r) for r in roots[np.argsort(np.concatenate([zero, idx]), kind="stable")]]
 
 
 # ---------------------------------------------------------------------------
@@ -312,28 +288,25 @@ def jost_F(k, v0: float, radius: float):
     return np.exp(1j * k * radius) * (np.cos(Ka) - 1j * k * sin_over)
 
 
-def jost_F_ode(k: complex, v0: float, radius: float, n_steps: int = 4000) -> complex:
-    """Independent Jost value from the regular solution, by fixed-step RK4.
+def jost_F_ode(k, v0: float, radius: float, n_steps: int = 4000):
+    """Independent Jost values from the regular solution, by fixed-step RK4.
 
     Integrates ``u'' = (V - k^2) u`` from the origin with ``u(0)=0, u'(0)=1``
-    and reads off ``e^{ika}(u'(a) - ik u(a))``.
+    and reads off ``e^{ika}(u'(a) - ik u(a))``.  Inside the well ``u'' = c u``
+    with ``c = -(v0 + k^2)``, so one RK4 step is the matrix ``alpha I + beta A``
+    of ``A = [[0, 1], [c, 0]]``; all ``k`` advance in one loop.  A scalar ``k``
+    gives a Python complex, an array ``k`` an array of its shape.
     """
-    k = complex(k)
+    k = np.asarray(k, dtype=complex)
     h = radius / n_steps
-    u, up = 0.0 + 0j, 1.0 + 0j
-    c = -(v0 + k * k)  # u'' = c*u inside the well (V = -v0)
-
-    def rhs(y):
-        return np.array([y[1], c * y[0]])
-
-    y = np.array([u, up])
+    c = -(v0 + k * k)
+    alpha = 1 + h * h * c / 2 + h**4 * c * c / 24
+    beta = h * (1 + h * h * c / 6)
+    u, up = np.zeros_like(k), np.ones_like(k)
     for _ in range(n_steps):
-        k1 = rhs(y)
-        k2 = rhs(y + h / 2 * k1)
-        k3 = rhs(y + h / 2 * k2)
-        k4 = rhs(y + h * k3)
-        y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return complex(np.exp(1j * k * radius) * (y[1] - 1j * k * y[0]))
+        u, up = alpha * u + beta * up, beta * c * u + alpha * up
+    out = np.exp(1j * k * radius) * (up - 1j * k * u)
+    return complex(out) if out.ndim == 0 else out
 
 
 class SquareWellModel(SMatrixModel):
@@ -362,13 +335,11 @@ class SquareWellModel(SMatrixModel):
 
     def bound_state_momenta(self) -> list[float]:
         """Zeros of the Jost function on the positive imaginary momentum axis."""
-        kmax = np.sqrt(self.v0)
-
         def g(kap):
-            return float(np.real(jost_F(1j * kap, self.v0, self.radius)))
+            return jost_F(1j * kap, self.v0, self.radius).real
 
-        grid = np.linspace(1e-9, kmax * (1 - 1e-12), 800)
-        return _sign_change_roots(g, grid, np.real(jost_F(1j * grid, self.v0, self.radius)))
+        grid = np.linspace(1e-9, np.sqrt(self.v0) * (1 - 1e-12), 800)
+        return _sign_change_roots(g, grid, g(grid))
 
     def upper_rim_poles(self):
         return [(-kap**2, 1) for kap in self.bound_state_momenta()]
@@ -538,14 +509,13 @@ def trace_T_boundary(data: TraceClassData, mu, side: str) -> np.ndarray:
     return (pv - jump if side == "+" else pv + jump).reshape(mu.shape + (p, p))
 
 
-def build_L(data: TraceClassData, z, sheet: int = 1):
-    """Resolvent-kernel matrix ``L`` on the chosen sheet and its smallest singular value.
+def build_L(data: TraceClassData, z, sheet: int = 1) -> np.ndarray:
+    """Resolvent-kernel matrix ``L`` on the chosen sheet; shape ``z.shape + (p, p)``.
 
     Sheet one is ``I - T(z)`` on the cut plane; sheet two adds the continuation
     jump ``+2*pi*i*C(z)`` below the axis (validated against the rank-one closed
-    form) and ``-2*pi*i*C(z)`` above it.  ``z`` is a scalar or an array: ``L``
-    has shape ``z.shape + (p, p)`` and the singular values ``z.shape`` (a float
-    for scalar ``z``).  Points on ``[0, inf)`` take ``trace_T_boundary``.
+    form) and ``-2*pi*i*C(z)`` above it.  ``z`` is a scalar or an array; points
+    on ``[0, inf)`` take ``trace_T_boundary``.  Poles are the zeros of ``det L``.
     """
     if sheet not in (1, 2):
         raise ValueError(f"sheet must be 1 or 2, got {sheet}")
@@ -566,9 +536,7 @@ def build_L(data: TraceClassData, z, sheet: int = 1):
         ell[~on_axis] = ell_off
     if on_axis.any():
         ell[on_axis] = eye - trace_T_boundary(data, zf[on_axis].real, "+" if sheet == 1 else "-")
-    ell = ell.reshape(z.shape + (p, p))
-    smin = np.linalg.svd(ell, compute_uv=False)[..., -1]
-    return ell, (float(smin) if z.ndim == 0 else smin)
+    return ell.reshape(z.shape + (p, p))
 
 
 class TraceClassModel(SMatrixModel):
@@ -601,7 +569,7 @@ class TraceClassModel(SMatrixModel):
         return s.reshape(z.shape + (1, 1))
 
     def pole_condition(self, z, sheet: int = 1):
-        return np.linalg.det(build_L(self.data, z, sheet)[0])
+        return np.linalg.det(build_L(self.data, z, sheet))
 
 
 # ---------------------------------------------------------------------------

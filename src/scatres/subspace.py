@@ -222,15 +222,9 @@ def gamov_coefficients(zeta: complex, count: int) -> np.ndarray:
     return -2j * np.sqrt(np.pi) * (zeta + 1j) ** j / (zeta - 1j) ** (j + 1)
 
 
-def _project_coefs(t_basis: SubspaceBasis, f) -> tuple[np.ndarray, float]:
-    """Coefficients of f in the working truncation plus its norm surrogate."""
-    if isinstance(f, GridFunction):
-        c = mt_coefficients_grid(f, t_basis.working_dim)[:, 0]
-        return c, norm(f)
-    c = np.asarray(f, dtype=complex)
-    if c.shape[0] != t_basis.working_dim:
-        raise ValueError("coefficient vector does not match the working truncation")
-    return c, float(np.linalg.norm(c))
+def _project_coefs(t_basis: SubspaceBasis, f: GridFunction) -> tuple[np.ndarray, float]:
+    """Coefficients of f in the working truncation, and the norm of f."""
+    return mt_coefficients_grid(f, t_basis.working_dim)[:, 0], norm(f)
 
 
 def _continuation_below(t_basis: SubspaceBasis, g: GridFunction, z: complex) -> complex:
@@ -259,7 +253,7 @@ def _continuation_below(t_basis: SubspaceBasis, g: GridFunction, z: complex) -> 
     return s_at * complex(cauchy_eval(h, z)[0]) / np.conj(multiplier(np.conj(z)))
 
 
-def restricted_apply(t_basis: SubspaceBasis, f, t: float) -> GridFunction:
+def restricted_apply(t_basis: SubspaceBasis, f: GridFunction, t: float) -> GridFunction:
     """Decay semigroup on the admissible subspace: project, evolve, project.
 
     The evolution uses the exact truncation matrix of the characteristic
@@ -283,7 +277,7 @@ def restricted_apply(t_basis: SubspaceBasis, f, t: float) -> GridFunction:
     return mt_synthesize(evolved, t_basis.grid)
 
 
-def resolve_B(t_basis: SubspaceBasis, g, z: complex, resonances=None) -> GridFunction:
+def resolve_B(t_basis: SubspaceBasis, g: GridFunction, z: complex, resonances=None) -> GridFunction:
     """Constructive resolvent of the restricted generator at a regular point.
 
     Builds ``f = (g - k0)/(lam - z)`` with ``k0`` the continuation of ``g``
@@ -300,8 +294,6 @@ def resolve_B(t_basis: SubspaceBasis, g, z: complex, resonances=None) -> GridFun
             if abs(z - zeta) < 1e-6:
                 raise ValueError(f"{z} is within 1e-6 of the located pole {zeta}")
     c, _ = _project_coefs(t_basis, g)
-    g_grid = g if isinstance(g, GridFunction) else mt_synthesize(c, t_basis.grid)
-    g_samples = g_grid.samples
     lam = t_basis.grid.points()
     if z.imag == 0:
         # real-axis recipe: k0 is the boundary value of g at the point itself,
@@ -310,23 +302,23 @@ def resolve_B(t_basis: SubspaceBasis, g, z: complex, resonances=None) -> GridFun
         j = min(max(j, 2), lam.size - 2)
         stencil = slice(j - 2, j + 2)
         k0 = complex(
-            np.polynomial.polynomial.polyfit(lam[stencil], g_samples[stencil, 0], 3)
+            np.polynomial.polynomial.polyfit(lam[stencil], g.samples[stencil, 0], 3)
             @ z.real ** np.arange(4)
         )
     elif z.imag > 0:
-        k0 = complex(cauchy_eval(g_grid, z)[0])
+        k0 = complex(cauchy_eval(g, z)[0])
     else:
-        k0 = _continuation_below(t_basis, g_grid, z)
+        k0 = _continuation_below(t_basis, g, z)
     denom = lam - z
     hit = np.abs(denom) < 1e-9 * t_basis.grid.spacing
     denom = np.where(hit, 1.0, denom)
-    f_samples = (g_samples - k0) / denom[:, None]
+    f_samples = (g.samples - k0) / denom[:, None]
     if hit.any():
         j = int(np.nonzero(hit)[0][0])
         h = 1e-6
         f_samples[j, 0] = (mt_point_eval(c, z + h)[0] - mt_point_eval(c, z - h)[0]) / (2 * h)
     f = GridFunction(t_basis.grid, f_samples)
-    residual = resolvent_residual(t_basis, f, g_grid, z)
+    residual = resolvent_residual(t_basis, f, g, z)
     if residual > _RESOLVENT_TOL:
         raise RuntimeError(f"resolvent verification failed: residual {residual:.3e}")
     return f
@@ -360,13 +352,13 @@ class DecayCurve:
     reference: np.ndarray | None = None
 
 
-def transition_curve(f, times, mode: str, t_basis: SubspaceBasis | None = None,
+def transition_curve(f: GridFunction, times, mode: str, t_basis: SubspaceBasis | None = None,
                      isometry=None, zeta: complex | None = None) -> DecayCurve:
     """Survival amplitudes ``<f, U(t) f>`` under the decay or unitary evolution.
 
-    Decay mode evolves with the restricted semigroup in the truncation (exact
-    coefficients are used when ``f`` is given as a coefficient vector or when
-    ``zeta`` tags it as a decaying eigenvector); unitary mode evolves the
+    Decay mode evolves with the restricted semigroup in the truncation (the
+    exact coefficients of the decaying eigenvector, scaled to ``||f||``, are
+    used when ``zeta`` tags ``f`` as one); unitary mode evolves the
     half-line representative obtained through the polar isometry.  When
     ``zeta`` is supplied the curve carries ``exp(-t |Im zeta|) ||f||^2`` as the
     reference column.
@@ -379,7 +371,7 @@ def transition_curve(f, times, mode: str, t_basis: SubspaceBasis | None = None,
     if mode == "decay":
         if t_basis is None:
             raise ValueError("decay mode needs the admissible basis")
-        if isinstance(f, GridFunction) and zeta is not None:
+        if zeta is not None:
             c = gamov_coefficients(zeta, t_basis.working_dim)
             c = c * (norm(f) / np.linalg.norm(c))
         else:

@@ -28,7 +28,7 @@ def test_criterion_01_rankone_resonances():
     region = [sr.ScanRegion(-6, 6, -6, -0.02, sheet=2)]
     for a in (0.25, 1.0, 4.0):
         t0 = time.perf_counter()
-        found = sr.find_resonances(sr.RankOneModel(a), regions=region, rims=False)
+        found = sr.find_resonances(sr.RankOneModel(a), regions=region)
         slowest = max(slowest, time.perf_counter() - t0)
         expected = a - 1 - 2j * np.sqrt(a)  # quadratic-formula oracle
         assert len(found) == 1 and found[0].sheet == 2 and found[0].kind == "resonance"
@@ -63,7 +63,7 @@ def test_criterion_03_closed_form_vs_quadrature():
     for z in points:
         for sheet in (1, 2):
             closed = 1 - 1.0 * sr.rankone_resolvent_elem(z, sheet)
-            ell, _ = sr.build_L(data, z, sheet)
+            ell = sr.build_L(data, z, sheet)
             worst = max(worst, abs(ell[0, 0] - closed) / abs(closed))
     exact = abs(sr.trace_T(data, -1.0)[0, 0] - (-0.25))
     _report(3, "resolvent element closed form vs quadrature (20 pts, 2 sheets)", worst, 1e-6)
@@ -220,18 +220,17 @@ def test_criterion_12_square_well():
     _report(12, "bound states: matching formula vs shooting oracle", bound_err, 1e-6)
 
     # the finder's sheet-2 zeros of the pole condition, as fourth-quadrant momenta
-    found = sr.find_resonances(well, regions=[sr.ScanRegion(0.05, 200, -100, -0.01, sheet=2)],
-                               rims=False)
-    zeros = sorted((complex(sr.momentum(r.zeta, 2)) for r in found), key=abs)[:4]
+    found = sr.find_resonances(well, regions=[sr.ScanRegion(0.05, 200, -100, -0.01, sheet=2)])
+    zeros = sorted((complex(sr.momentum(r.zeta, 2)) for r in found if r.kind == "resonance"),
+                   key=abs)[:4]
     assert len(zeros) == 4
     worst = 0.0
     for k in zeros:
         z = complex(k)
         for _ in range(80):  # Newton on the independent ODE evaluation
             h = 1e-6 * max(1.0, abs(z))
-            f0 = sr.jost_F_ode(z, 10.0, 1.0)
-            deriv = (sr.jost_F_ode(z + h, 10.0, 1.0) - sr.jost_F_ode(z - h, 10.0, 1.0)) / (2 * h)
-            step = f0 / deriv
+            f0, f_plus, f_minus = sr.jost_F_ode(np.array([z, z + h, z - h]), 10.0, 1.0)
+            step = f0 * 2 * h / (f_plus - f_minus)
             z -= step
             if abs(step) < 1e-12:
                 break

@@ -51,6 +51,14 @@ def test_resonances_malformed_spec(runner, tmp_path):
     assert not (tmp_path / "poles.json").exists()
 
 
+def test_resonances_sheet_without_region_exit1(runner, tmp_path):
+    result = runner.invoke(main, ["resonances", "--model", "rankone", "--a", "1.0", "--sheet", "1",
+                                  "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    assert "error: --sheet needs --region" in result.output
+    assert not (tmp_path / "poles.json").exists()
+
+
 def test_resonances_determinism(runner, tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
     for out in (out1, out2):

@@ -90,7 +90,7 @@ def test_completeness_random_couplings():
     rng = np.random.default_rng(5)
     region = [sr.ScanRegion(-10, 10, -10, -0.01, sheet=2, resolution=61)]
     for a in rng.uniform(1e-3, 10.0, size=20):
-        found = sr.find_resonances(sr.RankOneModel(float(a)), regions=region, rims=False)
+        found = sr.find_resonances(sr.RankOneModel(float(a)), regions=region)
         expected = a - 1 - 2j * np.sqrt(a)
         assert len(found) == 1
         assert abs(found[0].zeta - expected) < 1e-8

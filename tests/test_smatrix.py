@@ -1,6 +1,5 @@
 """Scattering-matrix models, trace-class machinery, and the Jost function."""
 
-import math
 import warnings
 
 import numpy as np
@@ -105,22 +104,25 @@ def test_trace_boundary_jump_relation():
         sr.trace_T_boundary(data, -1.0, "+")
 
 
+def _smin(ell):
+    """Smallest singular value of each matrix in a stack."""
+    return np.linalg.svd(ell, compute_uv=False)[..., -1]
+
+
 def test_build_L_values_and_kernels():
     data = sr.rankone_trace_data(1.0)
-    ell, smin = sr.build_L(data, -1.0, 1)
+    ell = sr.build_L(data, -1.0, 1)
     assert abs(ell[0, 0] - 1.25) < 1e-8
-    assert abs(smin - 1.25) < 1e-8
-    _, smin = sr.build_L(data, -2j, 2)
-    assert smin < 1e-8
+    assert abs(_smin(ell) - 1.25) < 1e-8
+    assert _smin(sr.build_L(data, -2j, 2)) < 1e-8
     data2 = sr.rankone_trace_data(-2.0)
-    _, smin = sr.build_L(data2, -(3 - 2 * SQ2), 1)
-    assert smin < 1e-8
+    assert _smin(sr.build_L(data2, -(3 - 2 * SQ2), 1)) < 1e-8
 
 
 def test_build_L_sheet2_matches_closed_continuation():
     data = sr.rankone_trace_data(1.0)
     for z in (-1 - 2j, 0.7 - 0.4j, 2j, -3.0):
-        ell, _ = sr.build_L(data, z, 2)
+        ell = sr.build_L(data, z, 2)
         closed = 1 - 1.0 * sr.rankone_resolvent_elem(z, 2)
         assert abs(ell[0, 0] - closed) < 1e-8 * max(1, abs(closed))
 
@@ -128,8 +130,7 @@ def test_build_L_sheet2_matches_closed_continuation():
 def test_L_inverse_bounded_off_poles():
     data = sr.rankone_trace_data(1.0)
     for z in (1 + 1j, -2 + 3j, 5 - 2j, -0.5 - 0.5j):
-        _, smin = sr.build_L(data, z, 1)
-        assert 1 / smin < 50.0
+        assert 1 / _smin(sr.build_L(data, z, 1)) < 50.0
 
 
 def test_kernel_unification_with_quadratic_formula():
@@ -140,8 +141,7 @@ def test_kernel_unification_with_quadratic_formula():
         for k in model.eigen_momenta():
             z = complex(k**2)
             sheet = 1 if k.imag > 0 else 2
-            _, smin = sr.build_L(data, z, sheet)
-            assert smin < 1e-8
+            assert _smin(sr.build_L(data, z, sheet)) < 1e-8
 
 
 def test_traceclass_boundary_is_batched():
@@ -256,10 +256,9 @@ def test_trace_T_build_L_span_blocks(head, seed, sheet):
     zs = np.concatenate([head, tail])
     _assert_matches_loop(sr.trace_T(data, zs), [sr.trace_T(data, z) for z in zs])
     zs = np.concatenate([zs, [1.5, 4.0]])  # points on [0, inf) take the boundary path
-    ell, smin = sr.build_L(data, zs, sheet)
+    ell = sr.build_L(data, zs, sheet)
     loop = [sr.build_L(data, z, sheet) for z in zs]
-    _assert_matches_loop(ell, [e for e, _ in loop])
-    _assert_matches_loop(smin, [s for _, s in loop])
+    _assert_matches_loop(ell, loop)
 
 
 def test_two_sheet_boundary_relation():
@@ -292,10 +291,14 @@ def test_jost_reality_symmetry():
 
 
 def test_jost_matches_ode_oracle():
-    for k in (0.8, 1 - 0.6j, 2.5j, -1.2 - 0.9j):
+    ks = (0.8, 1 - 0.6j, 2.5j, -1.2 - 0.9j)
+    for k in ks:
         closed = complex(sr.jost_F(k, 10.0, 1.0))
         ode = sr.jost_F_ode(k, 10.0, 1.0)
+        assert isinstance(ode, complex)
         assert abs(closed - ode) / abs(closed) < 1e-9
+    _assert_matches_loop(sr.jost_F_ode(np.reshape(ks, (2, 2)), 10.0, 1.0),
+                         np.reshape([sr.jost_F_ode(k, 10.0, 1.0) for k in ks], (2, 2)))
 
 
 def test_jost_bound_states_vs_shooting_oracle():
@@ -310,60 +313,43 @@ def test_jost_bound_states_vs_shooting_oracle():
     assert abs(closed[0] - oracle) < 1e-6
 
 
-# Brent port: the same double as scipy's brentq on every bracket.  Each family
-# is strictly monotone through its root r, so [r - left, r + right] brackets it.
-_MONOTONE = [
-    lambda c, d: lambda x: c * x + d * x**3,
-    lambda c, d: lambda x: math.tanh(c * x) + d * x,
-    lambda c, d: lambda x: math.expm1(c * x / (1 + abs(x))) + d * x,
-    lambda c, d: lambda x: math.atan(c * x) * (1 + d),
-]
-
-
-@settings(max_examples=300, deadline=None)
-@given(family=st.sampled_from(_MONOTONE), c=st.floats(1e-2, 1e2), d=st.floats(0, 10),
-       root=st.floats(-50, 50), left=st.floats(1e-6, 20), right=st.floats(1e-6, 20),
-       sign=st.sampled_from([1, -1]), swap=st.booleans())
-def test_brent_root_matches_scipy(family, c, d, root, left, right, sign, swap):
-    g = family(c, d)
-
-    def f(x):
-        return sign * g(x - root)
-
-    a, b = root - left, root + right
-    if swap:
-        a, b = b, a
-    assert sr.smatrix._brent_root(f, a, b) == brentq(f, a, b, xtol=1e-14)
-
-
+# Batched rim polishing: every bracket of one scan is polished together.
 @settings(max_examples=40, deadline=None)
 @given(exponent=st.floats(-2, 3), sign=st.sampled_from([1, -1]), sheet=st.sampled_from([1, 2]))
-def test_brent_root_matches_scipy_on_rankone_rims(exponent, sign, sheet):
+def test_sign_change_roots_finds_rankone_rim_roots(exponent, sign, sheet):
     model = sr.RankOneModel(sign * 10**exponent)
     extent = 2 * (1 + 10 ** (exponent / 2)) ** 2 + 8  # beyond every rim pole
-    xs = np.linspace(-extent, -1e-9, 4001)
-    vals = model.pole_condition(xs.astype(complex), sheet).real
-
-    def f(x):
-        return float(np.real(model.pole_condition(complex(x), sheet)))
-
-    brackets = np.flatnonzero(vals[:-1] * vals[1:] < 0)
+    found = sr.rim_scan(model, -extent, -1e-6, sheet)
+    expected = sorted(zeta for zeta in ((k**2).real for k in model.eigen_momenta()
+                                        if abs(k.real) < 1e-14 and (k.imag > 0) == (sheet == 1))
+                      if -extent < zeta < -1e-6)
+    assert len(found) == len(expected)
     if sign < 0 and exponent > 0.1:  # a < -1 puts a zero on both rims
-        assert brackets.size
-    for i in brackets:
-        assert sr.smatrix._brent_root(f, xs[i], xs[i + 1]) == brentq(f, xs[i], xs[i + 1], xtol=1e-14)
+        assert found
+    for r, zeta in zip(found, expected):
+        assert r.zeta.imag == 0 and abs(r.zeta.real - zeta) < 1e-12 * max(1.0, abs(zeta))
 
 
-def test_brent_root_errors_match_scipy():
-    def same_sign(x):
-        return x * x + 1
+@settings(max_examples=12, deadline=None)
+@given(v0=st.floats(0.5, 40), radius=st.floats(0.5, 2))
+def test_sign_change_roots_finds_square_well_bound_states(v0, radius):
+    kaps = sr.SquareWellModel(v0, radius).bound_state_momenta()
+    grid = np.linspace(1e-9, np.sqrt(v0) * (1 - 1e-12), 400)
+    shoot = sr.jost_F_ode(1j * grid, v0, radius).real
+    brackets = np.flatnonzero(shoot[:-1] * shoot[1:] < 0)
+    oracle = [brentq(lambda kap: sr.jost_F_ode(1j * kap, v0, radius).real, grid[i], grid[i + 1],
+                     xtol=1e-13) for i in brackets]
+    assert len(kaps) == len(oracle)
+    assert all(abs(k - o) < 1e-9 for k, o in zip(kaps, oracle))
 
-    for solve in (sr.smatrix._brent_root, brentq):
-        with pytest.raises(ValueError, match="different signs"):
-            solve(same_sign, -1.0, 1.0)
-        with pytest.raises(RuntimeError):
-            solve(math.atan, -1.0, 3.0, maxiter=3)
-    assert sr.smatrix._brent_root(math.atan, -1.0, 3.0) == brentq(math.atan, -1.0, 3.0, xtol=1e-14)
+
+def test_sign_change_roots_rejects_nan():
+    def f(x):
+        return np.where(np.abs(x - 0.3) < 0.2, np.nan, x - 0.3)
+
+    xs = np.array([-1.0, 1.0])
+    with pytest.raises(ValueError, match="NaN"):
+        sr.smatrix._sign_change_roots(f, xs, f(xs))
 
 
 def test_sign_change_roots_takes_exact_zero_samples():
