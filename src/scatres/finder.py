@@ -204,7 +204,8 @@ def rim_scan(model: SMatrixModel, x_min: float, x_max: float, sheet: int,
 def _kernel_and_residual(model: SMatrixModel, zeta: complex, sheet: int | None = None):
     zeta = complex(zeta)
     if isinstance(model, TraceClassModel):
-        # trace-class S exists only on the positive axis, so its kernels come from L
+        # kernels from L: its null vector lives in the auxiliary space, and at the
+        # sheet-two antiresonances S(conj zeta) is infinite
         mat = build_L(model.data, zeta, sheet or 1)
     elif zeta.imag == 0 and model.sheet_count == 2:
         k = np.ones(model.dim_k, dtype=complex)

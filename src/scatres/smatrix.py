@@ -58,9 +58,10 @@ def momentum(z, sheet: int):
 class SMatrixModel:
     """Evaluation contract for a scattering matrix on labeled sheets.
 
-    ``eval`` and ``pole_condition`` take a scalar or an array ``z`` and return
-    arrays of shape ``z.shape + (m, m)`` and ``z.shape``, so that scan grids,
-    contours and boundary samples are evaluated in one call.
+    A model defines only ``pole_condition``, which takes a scalar or an array
+    ``z`` and returns an array of shape ``z.shape``; the scattering matrix
+    ``eval`` is derived from it, so scan grids, contours and boundary samples
+    are evaluated in one call and ``S`` cannot disagree with its poles.
     """
 
     name: str = "abstract"
@@ -68,15 +69,29 @@ class SMatrixModel:
     sheet_count: int = 1
 
     # -- required --------------------------------------------------------
-    def eval(self, z, sheet: int = 1) -> np.ndarray:
-        """Scattering matrix on the given sheet; shape ``z.shape + (m, m)``."""
-        raise NotImplementedError
-
     def pole_condition(self, z, sheet: int = 1):
         """Analytic function vanishing exactly at the poles of the sheet; shape ``z.shape``."""
         raise NotImplementedError
 
     # -- shared ----------------------------------------------------------
+    def eval(self, z, sheet: int = 1) -> np.ndarray:
+        """Scattering matrix on the given sheet; shape ``z.shape + (1, 1)``.
+
+        Two sheets: ``S = pole_condition(z, 3 - sheet) / pole_condition(z, sheet)``,
+        the Jost ratio ``F(-k)/F(k)`` or the Birman-Krein ratio of ``det L``.
+        One sheet: the pole condition is ``1/S``, so ``S`` is its reflection
+        ``conj(pole_condition(conj z))``, which stays finite at the zeros of ``S``.
+        """
+        self._check_sheet(z, sheet)
+        if self.dim_k != 1:
+            raise NotImplementedError("S from the pole condition is implemented for multiplicity one")
+        z = np.asarray(z, dtype=complex)
+        if self.sheet_count == 1:
+            s = np.conj(self.pole_condition(np.conj(z), 1))
+        else:
+            s = self.pole_condition(z, 3 - sheet) / self.pole_condition(z, sheet)
+        return s.reshape(z.shape + (1, 1))
+
     def _check_sheet(self, z, sheet: int):
         if sheet not in (1, 2) or sheet > self.sheet_count:
             raise ValueError(f"invalid sheet {sheet} for model {self.name}")
@@ -136,15 +151,6 @@ class RationalModel(SMatrixModel):
         self.poles = poles
         self.name = name
 
-    def eval(self, z, sheet: int = 1):
-        if sheet != 1:
-            raise ValueError("rational models live on a single sheet")
-        z = np.asarray(z, dtype=complex)
-        s = np.ones_like(z)
-        for p in self.poles:
-            s = s * (z - np.conj(p)) / (z - p)
-        return s.reshape(z.shape + (1, 1))
-
     def pole_condition(self, z, sheet: int = 1):
         z = np.asarray(z, dtype=complex)
         s = np.ones_like(z)
@@ -180,9 +186,9 @@ def rankone_resolvent_elem(z: complex, sheet: int = 1) -> complex:
 class RankOneModel(SMatrixModel):
     """Scalar two-sheeted model of a rank-one coupling with strength ``a``.
 
-    The scattering matrix is ``1 - 4iak / ((1+ik)^2 (a + (1-ik)^2))`` in the
-    momentum ``k`` of the chosen sheet; eigenvalues and resonances solve
-    ``(1 - ik)^2 + a = 0``.
+    The pole condition is ``1 + a/(1 - ik)^2`` in the momentum ``k`` of the
+    chosen sheet; eigenvalues and resonances solve ``(1 - ik)^2 + a = 0``, and
+    the derived ``S`` equals ``1 - 4iak / ((1+ik)^2 (a + (1-ik)^2))``.
     """
 
     sheet_count = 2
@@ -194,14 +200,6 @@ class RankOneModel(SMatrixModel):
             raise ValueError(f"coupling a must be finite and nonzero, got {a}")
         self.a = a
         self.name = f"rankone(a={self.a:g})"
-
-    def eval(self, z, sheet: int = 1):
-        self._check_sheet(z, sheet)
-        z = np.asarray(z, dtype=complex)
-        k = momentum(z, sheet)
-        a = self.a
-        s = 1 - 4j * a * k / ((1 + 1j * k) ** 2 * (a + (1 - 1j * k) ** 2))
-        return s.reshape(z.shape + (1, 1))
 
     def pole_condition(self, z, sheet: int = 1):
         return 1 - self.a * rankone_resolvent_elem(z, sheet)
@@ -322,13 +320,6 @@ class SquareWellModel(SMatrixModel):
         self.v0 = v0
         self.radius = radius
         self.name = f"squarewell(v0={self.v0:g}, a={self.radius:g})"
-
-    def eval(self, z, sheet: int = 1):
-        self._check_sheet(z, sheet)
-        z = np.asarray(z, dtype=complex)
-        k = momentum(z, sheet)
-        s = jost_F(-k, self.v0, self.radius) / jost_F(k, self.v0, self.radius)
-        return s.reshape(z.shape + (1, 1))
 
     def pole_condition(self, z, sheet: int = 1):
         return jost_F(momentum(z, sheet), self.v0, self.radius)
@@ -542,10 +533,15 @@ def build_L(data: TraceClassData, z, sheet: int = 1) -> np.ndarray:
 class TraceClassModel(SMatrixModel):
     """Scattering matrix assembled from trace-class form-factor data.
 
-    ``S(mu + i0) = det L(mu - i0) / det L(mu + i0)`` on ``(0, inf)``: Birman-Krein,
-    exact for multiplicity one by the matrix determinant lemma; sheet two gives
-    the inverse.  Off the axis only ``L`` exists, and on sheet two it needs the
-    analytic form-factor continuation (``c_fun``) of the built-in reductions.
+    The pole condition is ``det L``, so the derived ``S`` is the ratio of the
+    two sheets' determinants; on ``(0, inf)`` that is Birman-Krein,
+    ``S(mu + i0) = det L(mu - i0) / det L(mu + i0)``, exact for multiplicity one
+    by the matrix determinant lemma.  Off the axis sheet two needs the analytic
+    form-factor continuation (``c_fun``) of the built-in reductions, so ``S``
+    of sampled data raises ``ValueError`` there.  Off-axis values inherit the
+    plain quadrature of :func:`trace_T`, which loses accuracy close to the
+    axis: for the rank-one reduction at a = 12, ``S`` is off by 0.29 relative
+    at z = 2.64 + 0.11i on sheet 2, and by up to 5e-5 for |Im z| >= 1.
     """
 
     sheet_count = 2
@@ -554,19 +550,6 @@ class TraceClassModel(SMatrixModel):
         self.data = data
         self.dim_k = data.a_vals.shape[1]
         self.name = name
-
-    def eval(self, z, sheet: int = 1):
-        self._check_sheet(z, sheet)
-        z = np.asarray(z, dtype=complex)
-        if np.any((z.imag != 0) | (z.real <= 0)):
-            raise NotImplementedError(
-                "off-axis S values for trace-class data are defined through build_L; "
-                "use the dedicated models for closed-form continuation"
-            )
-        if self.dim_k != 1:
-            raise NotImplementedError("trace-class S is implemented for multiplicity one")
-        s = self.pole_condition(z, 3 - sheet) / self.pole_condition(z, sheet)
-        return s.reshape(z.shape + (1, 1))
 
     def pole_condition(self, z, sheet: int = 1):
         return np.linalg.det(build_L(self.data, z, sheet))
@@ -577,33 +560,45 @@ class TraceClassModel(SMatrixModel):
 
 
 def load_trace_csv(path) -> TraceClassData:
-    """Read form factors from CSV with header ``lambda, re_a_i_j, im_a_i_j, re_b_i_j, im_b_i_j``."""
+    """Read form factors from CSV with header ``lambda, re_a_i_j, im_a_i_j, re_b_i_j, im_b_i_j``.
+
+    Raises ``ValueError`` for a file without data rows, a column name that is
+    not of this form or repeats, an index that is not a non-negative integer,
+    and a row whose cell count differs from the header's.
+    """
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise ValueError("empty form-factor file")
     header = [h.strip().lower() for h in rows[0]]
     if header[0] not in ("lambda", "lam"):
         raise ValueError("first column must be the energy 'lambda' (header row mandatory)")
-    shape_ids = []
+    if len(set(header)) != len(header):
+        raise ValueError("form-factor column names must not repeat")
+    columns = []
     for name in header[1:]:
         parts = name.split("_")
         if len(parts) != 4 or parts[0] not in ("re", "im") or parts[1] not in ("a", "b"):
             raise ValueError(f"unrecognized form-factor column {name!r}")
-        shape_ids.append((int(parts[2]), int(parts[3])))
-    m = max(i for i, _ in shape_ids) + 1
-    p = max(j for _, j in shape_ids) + 1
-    body = np.array([[float(v) for v in row] for row in rows[1:] if row])
+        if not (parts[2].isdecimal() and parts[3].isdecimal()):
+            raise ValueError(f"form-factor column {name!r}: indices must be non-negative integers")
+        columns.append((1 if parts[0] == "re" else 1j, parts[1], int(parts[2]), int(parts[3])))
+    if len(rows) == 1:
+        raise ValueError("form-factor file has no data rows")
+    for n, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise ValueError(f"row {n} has {len(row)} cells, the header {len(header)}")
+    body = np.array([[float(v) for v in row] for row in rows[1:]])
     lam = body[:, 0]
     if np.any(np.diff(lam) <= 0) or lam[0] < 0:
         raise ValueError("energies must be positive and strictly increasing")
+    m = max(i for _, _, i, _ in columns) + 1
+    p = max(j for _, _, _, j in columns) + 1
     a_vals = np.zeros((lam.size, m, p), dtype=complex)
     b_vals = np.zeros((lam.size, m, p), dtype=complex)
-    for col, name in enumerate(header[1:], start=1):
-        parts = name.split("_")
-        i, j = int(parts[2]), int(parts[3])
-        target = a_vals if parts[1] == "a" else b_vals
-        target[:, i, j] += body[:, col] * (1 if parts[0] == "re" else 1j)
+    for col, (unit, which, i, j) in enumerate(columns, start=1):
+        target = a_vals if which == "a" else b_vals
+        target[:, i, j] += body[:, col] * unit
     w = np.gradient(lam)
     w[0] /= 2  # trapezoid start; the whole last interval keeps every sample below sum(w)
     tail = float(np.linalg.norm(a_vals[-1]) * np.linalg.norm(b_vals[-1]))

@@ -293,7 +293,6 @@ def resolve_B(t_basis: SubspaceBasis, g: GridFunction, z: complex, resonances=No
             zeta = r.zeta if hasattr(r, "zeta") else complex(r)
             if abs(z - zeta) < 1e-6:
                 raise ValueError(f"{z} is within 1e-6 of the located pole {zeta}")
-    c, _ = _project_coefs(t_basis, g)
     lam = t_basis.grid.points()
     if z.imag == 0:
         # real-axis recipe: k0 is the boundary value of g at the point itself,
@@ -315,6 +314,7 @@ def resolve_B(t_basis: SubspaceBasis, g: GridFunction, z: complex, resonances=No
     f_samples = (g.samples - k0) / denom[:, None]
     if hit.any():
         j = int(np.nonzero(hit)[0][0])
+        c, _ = _project_coefs(t_basis, g)
         h = 1e-6
         f_samples[j, 0] = (mt_point_eval(c, z + h)[0] - mt_point_eval(c, z - h)[0]) / (2 * h)
     f = GridFunction(t_basis.grid, f_samples)

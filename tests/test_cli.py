@@ -29,7 +29,9 @@ def test_resonances_rankone(runner, tmp_path):
     assert len(res) == 1
     assert abs(res[0]["re_zeta"]) < 1e-8 and abs(res[0]["im_zeta"] + 2.0) < 1e-8
     assert res[0]["sheet"] == 2
-    assert "-2.000000i" in result.output.replace("+0.000000", "").replace("-0.000000", "-2.000000" ) or "resonance" in result.output
+    table = [line.split() for line in result.stdout.splitlines()[1:]]
+    [(zeta, sheet, _, _)] = [row for row in table if row[2] == "resonance"]
+    assert zeta.endswith("-2.000000i") and sheet == "2"
     csv_text = (tmp_path / "poles.csv").read_text()
     assert csv_text.startswith("re_zeta,im_zeta,sheet,kind,residual")
 
@@ -48,6 +50,16 @@ def test_resonances_example1(runner, tmp_path):
 def test_resonances_malformed_spec(runner, tmp_path):
     result = runner.invoke(main, ["resonances", "--model", '{"model": ', "--out", str(tmp_path)])
     assert result.exit_code == 1
+    assert not (tmp_path / "poles.json").exists()
+
+
+def test_resonances_header_only_csv_exit1(runner, tmp_path):
+    path = tmp_path / "factors.csv"
+    path.write_text("lambda,re_a_0_0,im_a_0_0,re_b_0_0,im_b_0_0\n")
+    spec = json.dumps({"model": "traceclass", "file": str(path)})
+    result = runner.invoke(main, ["resonances", "--model", spec, "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error:") and "Traceback" not in result.output
     assert not (tmp_path / "poles.json").exists()
 
 

@@ -120,7 +120,9 @@ def test_find_resonances_traceclass_off_axis():
 
 
 class _NoOffAxisS(sr.SMatrixModel):
-    """Pole condition with a zero at 1 - i, but no scattering matrix to classify it."""
+    """Pole condition with a zero at 1 - i, but multiplicity two: no derived S to classify it."""
+
+    dim_k = 2
 
     def pole_condition(self, z, sheet=1):
         return np.asarray(z, dtype=complex) - (1 - 1j)

@@ -313,6 +313,15 @@ def test_resolve_B_rankone_rim_branch(rankone_bases, grid):
         assert sr.norm(f - target) / sr.norm(target) < 1e-2
 
 
+def test_resolve_B_at_grid_sample(ex1_bases, rankone_bases, grid):
+    # z = 0 is a sample of the grid, where f takes the derivative of the expansion of g
+    for (_, _, _, tb), zeta, tol in ((ex1_bases, ZETA, 1e-4), (rankone_bases, -2j, 1e-6)):
+        e = sr.gamov(zeta, 1.0, grid)
+        f = sr.resolve_B(tb, e, 0.0, resonances=[zeta])
+        target = e * (1 / zeta)
+        assert sr.norm(f - target) / sr.norm(target) < tol
+
+
 def test_resolve_B_rejects_resonance_point(ex1_bases, grid):
     _, _, _, tb = ex1_bases
     e = sr.gamov(ZETA, 1.0, grid)
