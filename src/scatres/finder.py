@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _RIM_EXTENT = 8.0  # the rim scans cover [-_RIM_EXTENT, -1e-6]
+_AUDIT_TOL = 1e-8  # conjugate_pair_audit: poles this close to conjugate, this far off the axis, pair
 
 
 @dataclass
@@ -74,6 +75,12 @@ class ScanRegion:
         if self.im_min < 0 < self.im_max and self.re_min < 0:
             raise ValueError("rectangle crosses the cut (-inf, 0]; scan rims separately")
 
+    def check_model(self, model: SMatrixModel) -> None:
+        """``ValueError`` unless the model has sheet ``self.sheet`` (1, or 1 and 2)."""
+        sheets = list(range(1, model.sheet_count + 1))
+        if self.sheet not in sheets:
+            raise ValueError(f"sheet must be one of {sheets} for model {model.name}, got {self.sheet}")
+
 
 def winding_number(fn, center: complex, half_w: float, half_h: float,
                    n0: int = 64) -> tuple[int, float]:
@@ -112,6 +119,7 @@ def scan_region(model: SMatrixModel, region: ScanRegion) -> list[complex]:
     winding number is counted.  Cells carrying winding >= 2 are subdivided
     until each candidate is simple or the cell is irreducibly small.
     """
+    region.check_model(model)
     re = np.linspace(region.re_min, region.re_max, region.resolution)
     im = np.linspace(region.im_min, region.im_max, region.resolution)
     zs = re[None, :] + 1j * im[:, None]
@@ -237,8 +245,7 @@ class AuditReport:
     ok: bool = True
 
 
-def conjugate_pair_audit(resonances: list[Resonance], model: SMatrixModel,
-                         tol: float = 1e-8) -> AuditReport:
+def conjugate_pair_audit(resonances: list[Resonance], model: SMatrixModel) -> AuditReport:
     """Flag mutually conjugate pole pairs on the physical surface.
 
     The admissibility condition requires that poles of the continued matrix
@@ -248,7 +255,7 @@ def conjugate_pair_audit(resonances: list[Resonance], model: SMatrixModel,
     def on_surface(r: Resonance) -> bool:
         if model.sheet_count == 1:
             return True
-        if abs(r.zeta.imag) < tol:
+        if abs(r.zeta.imag) < _AUDIT_TOL:
             return True
         return (r.zeta.imag > 0) == (r.sheet == 1)
 
@@ -256,7 +263,7 @@ def conjugate_pair_audit(resonances: list[Resonance], model: SMatrixModel,
     report = AuditReport()
     for i, r1 in enumerate(surface):
         for r2 in surface[i + 1 :]:
-            if abs(r1.zeta - np.conj(r2.zeta)) < tol and abs(r1.zeta.imag) > tol:
+            if abs(r1.zeta - np.conj(r2.zeta)) < _AUDIT_TOL and abs(r1.zeta.imag) > _AUDIT_TOL:
                 report.flagged.append((r1, r2))
                 report.ok = False
     return report

@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _RANKONE_K_MAX = 2000.0  # momentum cutoff of the rank-one quadrature
+_ODE_STEPS = 4000  # RK4 steps of jost_F_ode across the well
 
 
 def momentum(z, sheet: int):
@@ -286,8 +287,8 @@ def jost_F(k, v0: float, radius: float):
     return np.exp(1j * k * radius) * (np.cos(Ka) - 1j * k * sin_over)
 
 
-def jost_F_ode(k, v0: float, radius: float, n_steps: int = 4000):
-    """Independent Jost values from the regular solution, by fixed-step RK4.
+def jost_F_ode(k, v0: float, radius: float):
+    """Independent Jost values from the regular solution, by ``_ODE_STEPS``-step RK4.
 
     Integrates ``u'' = (V - k^2) u`` from the origin with ``u(0)=0, u'(0)=1``
     and reads off ``e^{ika}(u'(a) - ik u(a))``.  Inside the well ``u'' = c u``
@@ -296,12 +297,12 @@ def jost_F_ode(k, v0: float, radius: float, n_steps: int = 4000):
     gives a Python complex, an array ``k`` an array of its shape.
     """
     k = np.asarray(k, dtype=complex)
-    h = radius / n_steps
+    h = radius / _ODE_STEPS
     c = -(v0 + k * k)
     alpha = 1 + h * h * c / 2 + h**4 * c * c / 24
     beta = h * (1 + h * h * c / 6)
     u, up = np.zeros_like(k), np.ones_like(k)
-    for _ in range(n_steps):
+    for _ in range(_ODE_STEPS):
         u, up = alpha * u + beta * up, beta * c * u + alpha * up
     out = np.exp(1j * k * radius) * (up - 1j * k * u)
     return complex(out) if out.ndim == 0 else out

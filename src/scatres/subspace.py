@@ -104,7 +104,9 @@ def build_N_basis(model: SMatrixModel, n: int, mode: str, grid: Grid) -> Subspac
     ``prod((lam - xi_j)/(lam + i))^{g_j}``; ``mode='rim_poles'`` enforces
     vanishing at the negative-axis poles of the upper boundary values through
     ``p(lam)/(lam + i)^g`` with ``p`` the monic polynomial over the rim poles.
-    With no constraints the result is the full truncated basis.
+    With no constraints the result is the full truncated basis.  A mode that
+    does not match the model (``upper_poles`` for one sheet, ``rim_poles`` for
+    two) is a ``ValueError``: the other pole list is empty.
 
     The multiplier is a polynomial in ``t = (lam - i)/(lam + i)`` and ``phi_j``
     carries ``t^j``, so the multiplied basis has exact coefficients: the
@@ -113,18 +115,14 @@ def build_N_basis(model: SMatrixModel, n: int, mode: str, grid: Grid) -> Subspac
     _require_scalar(model)
     if n < 1:
         raise ValueError("basis size must be positive")
-    if mode == "upper_poles":
-        data = model.upper_half_poles()
-        factors = [(complex(xi), int(g)) for xi, g in data]
-    elif mode == "rim_poles":
-        data = model.upper_rim_poles()
-        if data is None:
-            raise ValueError(f"model {model.name} provides no rim pole data")
-        factors = [(complex(pos), int(g)) for pos, g in data]
-        if any(pos.real >= 0 for pos, _ in factors):
-            raise ValueError("rim poles must sit on the negative axis")
-    else:
-        raise ValueError(f"mode must be 'upper_poles' or 'rim_poles', got {mode!r}")
+    expected = "upper_poles" if model.sheet_count == 1 else "rim_poles"
+    if mode != expected:
+        raise ValueError(f"mode must be {expected!r} for the {model.sheet_count}-sheet model "
+                         f"{model.name}, got {mode!r}")
+    poles = model.upper_half_poles() if mode == "upper_poles" else model.upper_rim_poles()
+    factors = [(complex(pos), int(g)) for pos, g in poles]
+    if mode == "rim_poles" and any(pos.real >= 0 for pos, _ in factors):
+        raise ValueError("rim poles must sit on the negative axis")
     poly = _constraint_polynomial(factors)
     g_total = poly.size - 1
     d_work = n + g_total

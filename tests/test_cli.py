@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import scatres
+from scatres import verify
 from scatres.cli import main
 
 
@@ -251,15 +252,46 @@ def test_verify_suite_passes(runner, tmp_path, suite):
         assert check["check"] in result.output
 
 
-def test_verify_coarse_grid_fails_named_check(runner):
-    result = runner.invoke(main, ["verify", "--suite", "semigroup",
-                                  "--grid-n", str(2**8), "--grid-l", "400"])
-    assert result.exit_code == 1
-    assert "semigroup.eigenrelation" in result.output
+def test_verify_help_lists_only_suite_and_out(runner):
+    result = runner.invoke(main, ["verify", "--help"])
+    assert result.exit_code == 0
+    options = {word for word in result.output.split() if word.startswith("--")}
+    assert options == {"--suite", "--out", "--help"}
 
 
-def test_verify_tolerance_override(runner):
-    result = runner.invoke(main, ["verify", "--suite", "smatrix",
-                                  "--tol", "smatrix.unitarity_example1=1e-30"])
+def test_verify_failing_check_is_named(runner, tmp_path, monkeypatch):
+    monkeypatch.setitem(verify.SUITES, "hardy", lambda: [verify._check("hardy.fake", 1.0, 0.5)])
+    result = runner.invoke(main, ["verify", "--suite", "hardy", "--out", str(tmp_path)])
     assert result.exit_code == 1
-    assert "smatrix.unitarity_example1" in result.output
+    assert "failing checks: hardy.fake" in result.stderr
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["all_pass"] is False and report["checks"][0]["measured"] == 1.0
+
+
+def test_verify_raising_check_is_named_failure(runner, tmp_path, monkeypatch):
+    monkeypatch.setitem(verify.SUITES, "hardy", lambda: [verify._check("hardy.boom", lambda: 1 / 0, 1.0)])
+    result = runner.invoke(main, ["verify", "--suite", "hardy", "--out", str(tmp_path)])
+    assert result.exit_code == 1
+    assert "[FAIL] hardy.boom: raised ZeroDivisionError: division by zero" in result.stdout
+    assert "failing checks: hardy.boom" in result.stderr
+    [check] = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert check == {"check": "hardy.boom", "measured": None, "tolerance": 1.0, "pass": False,
+                     "error": "ZeroDivisionError: division by zero"}
+
+
+@pytest.mark.parametrize("args", [
+    ["resonances", "--model", "example1", "--region", "0,2,-2,-0.05", "--sheet", "2"],
+    ["resonances", "--model", "example1", "--region", "0,2,-2,-0.05", "--sheet", "0"],
+    ["resonances", "--model", "rankone", "--a", "1", "--region", "0,2,-2,-0.05", "--sheet", "3"],
+    ["verify", "--suite", "bogus"],
+    ["verify", "--tol", "x=1"],
+    ["decay", "--model", "example1", "--basis-n", "abc"],
+])
+def test_bad_configuration_exit1(runner, tmp_path, args):
+    out = tmp_path / "out"
+    result = runner.invoke(main, [*args, "--out", str(out)])
+    assert isinstance(result.exception, SystemExit)
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.output
+    assert not out.exists()

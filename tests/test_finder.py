@@ -34,6 +34,13 @@ def test_scan_region_validation():
         sr.ScanRegion(-2, 2, -1, 1)  # crosses the cut
 
 
+@pytest.mark.parametrize("model, sheet", [(sr.example1(), 2), (sr.example1(), 0),
+                                          (sr.RankOneModel(1.0), 0), (sr.RankOneModel(1.0), 3)])
+def test_scan_region_rejects_missing_sheet(model, sheet):
+    with pytest.raises(ValueError, match=f"sheet must be one of .* got {sheet}"):
+        sr.scan_region(model, sr.ScanRegion(0, 2, -2, -0.05, sheet=sheet))
+
+
 def test_refine_rankone():
     res = sr.refine(sr.RankOneModel(1.0), -0.5 - 1.5j, sheet=2)
     assert abs(res.zeta - (-2j)) < 1e-10

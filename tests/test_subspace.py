@@ -162,6 +162,16 @@ def test_N_basis_validation(grid):
         sr.build_N_basis(sr.example1(), 8, "sideways", grid)
 
 
+@pytest.mark.parametrize("model, mode, expected", [
+    (sr.example1(), "rim_poles", "upper_poles"),
+    (sr.RankOneModel(1.0), "upper_poles", "rim_poles"),
+])
+def test_N_basis_mode_must_match_sheet_count(grid, model, mode, expected):
+    # the other mode reads an empty pole list and would leave N unconstrained
+    with pytest.raises(ValueError, match=expected):
+        sr.build_N_basis(model, 16, mode, grid)
+
+
 def test_no_pole_model_gives_trivial_T(grid):
     model = sr.RationalModel([])  # identity scattering, no constraints
     nb = sr.build_N_basis(model, 12, "upper_poles", grid)
