@@ -51,7 +51,6 @@ from .smatrix import (
     rankone_resolvent_elem,
     rankone_trace_data,
     trace_T,
-    trace_T_boundary,
 )
 from .finder import (
     AuditReport,

@@ -33,7 +33,7 @@ __all__ = [
     "resonances_to_csv",
 ]
 
-_RIM_EXTENT = 8.0  # the rim scans cover [-_RIM_EXTENT, -1e-6]
+_RIM_EXTENT = 8.0  # the rim scans cover at least [-_RIM_EXTENT, -1e-6]
 _AUDIT_TOL = 1e-8  # conjugate_pair_audit: poles this close to conjugate, this far off the axis, pair
 
 
@@ -270,7 +270,16 @@ def conjugate_pair_audit(resonances: list[Resonance], model: SMatrixModel) -> Au
 
 
 def find_resonances(model: SMatrixModel, regions: list[ScanRegion] | None = None) -> list[Resonance]:
-    """Scan default or user regions, refine candidates, and scan the rims."""
+    """Scan default or user regions, refine candidates, and scan the rims.
+
+    A model of scale ``s = model.scale()`` is scanned out to
+    ``R = max(6, (1 + sqrt s)^2 + 1)``, which holds every rank-one pole (a
+    scale of 0 gives ``R = 6``): two-sheet models by default on the sheet-two
+    box ``[-R, R] x [-R, -0.02]``, and on ``[-max(8, R), -1e-6]`` along the rims
+    of both sheets, or of the sheets the user regions name.
+    """
+    reach = max(6.0, (1 + np.sqrt(model.scale())) ** 2 + 1)
+    rim_sheets = [1, 2] if regions is None else sorted({region.sheet for region in regions})
     if regions is None:
         if model.sheet_count == 1:
             regions = [
@@ -278,7 +287,7 @@ def find_resonances(model: SMatrixModel, regions: list[ScanRegion] | None = None
                 ScanRegion(-6, 6, -6, -0.02, sheet=1),
             ]
         else:
-            regions = [ScanRegion(-6, 6, -6, -0.02, sheet=2)]
+            regions = [ScanRegion(-reach, reach, -reach, -0.02, sheet=2)]
     found: list[Resonance] = []
     for region in regions:
         for cand in scan_region(model, region):
@@ -290,8 +299,8 @@ def find_resonances(model: SMatrixModel, regions: list[ScanRegion] | None = None
                 continue
             found.append(res)
     if model.sheet_count == 2:
-        for sheet in (1, 2):
-            found.extend(rim_scan(model, -_RIM_EXTENT, -1e-6, sheet))
+        for sheet in rim_sheets:
+            found.extend(rim_scan(model, -max(_RIM_EXTENT, reach), -1e-6, sheet))
     deduped: list[Resonance] = []
     for r in sorted(found, key=lambda r: (r.sheet, r.zeta.real, r.zeta.imag)):
         if all(abs(r.zeta - o.zeta) > 1e-8 or r.sheet != o.sheet for o in deduped):

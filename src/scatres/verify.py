@@ -188,7 +188,7 @@ def smatrix_suite():
     worst = np.max(np.abs(smatrix.trace_T(data, zs)[:, 0, 0] - closed) / np.abs(closed))
     checks.append(_check("smatrix.traceT_vs_closed", worst, 1e-6))
 
-    jump = (smatrix.trace_T_boundary(data, 1.0, "+") - smatrix.trace_T_boundary(data, 1.0, "-"))[0, 0]
+    jump = (smatrix.build_L(data, 1.0, 2) - smatrix.build_L(data, 1.0, 1))[0, 0]
     checks.append(_check("smatrix.jump_relation", abs(jump - (-1j)), 1e-6))
 
     lneg = np.array([-0.5, -1.7, -3.3])

@@ -219,6 +219,29 @@ def test_decay_csv_traceclass_scan_failure_exit2(tmp_path):
     assert not (tmp_path / "out" / "decay.csv").exists()
 
 
+def test_resonances_csv_user_region_scans_its_sheet_only(tmp_path):
+    # a sheet-one region needs no sheet-two continuation, so sampled data scan
+    _write_trace_csv(tmp_path / "factors.csv", -2.0)
+    proc = _cli("resonances", "--model", '{"model": "traceclass", "file": "factors.csv"}',
+                "--region=-6,-0.01,0.01,3", "--sheet", "1", "--out", "out", cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads((tmp_path / "out" / "poles.json").read_text())["resonances"]
+    assert [(r["sheet"], r["kind"]) for r in rows] == [(1, "bound_state")]
+    assert abs(rows[0]["re_zeta"] - (-(3 - 2 * np.sqrt(2)))) < 5e-3
+
+
+@pytest.mark.parametrize("a, expected", [
+    ("-24.57", ["-15.6563730149,0,1,bound_state", "-35.4836269851,0,2,rim_pole"]),
+    ("12.76", ["11.76,-7.1442284398,2,resonance"]),
+])
+def test_resonances_strong_couplings_in_reach(runner, tmp_path, a, expected):
+    # poles beyond the fixed [-6, 6] box and 8-wide rims of small couplings
+    result = runner.invoke(main, ["resonances", "--model", "rankone", "--a", a, "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    rows = (tmp_path / "poles.csv").read_text().splitlines()[1:]
+    assert [row.rsplit(",", 1)[0] for row in rows] == expected
+
+
 @pytest.mark.parametrize("model", [
     ["--model", "example1"],
     ["--model", '{"model": "rational", "poles": [[0.5, -0.7], [-1.2, 0.4]]}'],

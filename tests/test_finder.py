@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import scatres as sr
 
@@ -101,6 +103,45 @@ def test_completeness_random_couplings():
         expected = a - 1 - 2j * np.sqrt(a)
         assert len(found) == 1
         assert abs(found[0].zeta - expected) < 1e-8
+
+
+def _closed_form_poles(model):
+    """(sheet, zeta) of the roots of ``eigen_momenta`` that the default scan covers.
+
+    That is every root but the sheet-two antiresonance above the axis; rim roots
+    are reported with a zero imaginary part.
+    """
+    poles = []
+    for k in model.eigen_momenta():
+        zeta = complex(k * k)
+        if abs(k.real) < 1e-14:
+            zeta = complex(zeta.real, 0.0)
+        if zeta.imag <= 0:
+            poles.append((1 if k.imag > 0 else 2, zeta))
+    return sorted(poles, key=lambda p: (p[0], p[1].real, p[1].imag))
+
+
+@settings(max_examples=25, deadline=None)
+@given(exponent=st.floats(np.log10(0.03), np.log10(32)), sign=st.sampled_from([1, -1]))
+def test_find_resonances_matches_closed_form_over_couplings(exponent, sign):
+    # the default scan reaches every pole of strong couplings and finds no
+    # spurious zero next to the positive axis
+    a = sign * 10.0**exponent
+    assume(abs(np.sqrt(abs(a)) - 1) > 1e-2)  # keeps |zeta| >= 1e-4, off the branch point
+    expected = _closed_form_poles(sr.RankOneModel(a))
+    for model, tol in ((sr.RankOneModel(a), 1e-8), (sr.TraceClassModel(sr.rankone_trace_data(a)), 1e-6)):
+        found = sr.find_resonances(model)
+        assert [r.sheet for r in found] == [sheet for sheet, _ in expected]
+        for r, (_, zeta) in zip(found, expected):
+            assert abs(r.zeta - zeta) <= tol * max(1.0, abs(zeta))
+        assert not any(r.zeta.real > 0 and abs(r.zeta.imag) < 0.1 for r in found)
+
+
+def test_user_regions_choose_the_rim_sheets():
+    model = sr.RankOneModel(-2.0)  # bound state on sheet 1, rim pole on sheet 2
+    for sheet, kind in ((1, "bound_state"), (2, "rim_pole")):
+        found = sr.find_resonances(model, regions=[sr.ScanRegion(-6, -0.01, 0.01, 3, sheet=sheet)])
+        assert [(r.sheet, r.kind) for r in found] == [(sheet, kind)]
 
 
 def test_winding_number_integer():

@@ -92,16 +92,22 @@ def test_trace_T_matches_closed_form():
     for z in (10j, 3 - 4j, -0.5 + 0.2j):
         closed = sr.rankone_resolvent_elem(z, 1)
         assert abs(sr.trace_T(data, z)[0, 0] - closed) / abs(closed) < 1e-6
-    with pytest.raises(ValueError):
-        sr.trace_T(data, 2.0)
+    # a real point of the axis is approached from above
+    closed = sr.rankone_resolvent_elem(2.0, 1)
+    assert abs(sr.trace_T(data, 2.0)[0, 0] - closed) / abs(closed) < 1e-6
+    for z in (0.0, data.weights.sum(), 1e7):  # the branch point, and beyond the quadrature range
+        with pytest.raises(ValueError):
+            sr.trace_T(data, z)
 
 
 def test_trace_boundary_jump_relation():
     data = sr.rankone_trace_data(1.0)
-    jump = (sr.trace_T_boundary(data, 1.0, "+") - sr.trace_T_boundary(data, 1.0, "-"))[0, 0]
-    assert abs(jump - (-1j)) < 1e-6  # -2 pi i |e(1)|^2 = -i
+    jump = (sr.build_L(data, 1.0, 2) - sr.build_L(data, 1.0, 1))[0, 0]
+    assert abs(jump - (-1j)) < 1e-6  # T(1 + i0) - T(1 - i0) = -2 pi i |e(1)|^2 = -i
+    below = sr.trace_T(data, complex(1.0, -0.0))  # a negative zero approaches from below
+    assert abs((sr.trace_T(data, 1.0) - below)[0, 0] - (-1j)) < 1e-6
     with pytest.raises(ValueError):
-        sr.trace_T_boundary(data, -1.0, "+")
+        sr.trace_T(data, 0.0)
 
 
 def _smin(ell):
@@ -190,10 +196,11 @@ def test_trace_csv_boundary_tracks_rankone(tmp_path, a):
     nodes = data.lam[[0, 1, 2000, data.lam.size - 1]]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        at_node = sr.trace_T_boundary(data, nodes, "+")
+        at_node = sr.trace_T(data, nodes)
+        assert np.isfinite(sr.build_L(data, nodes, 2)).all()
     assert np.isfinite(at_node).all()
     # a node takes the mean of the one-sided limits of the interpolated data
-    sides = [sr.trace_T_boundary(data, nodes * (1 + d), "+") for d in (1e-9, -1e-9)]
+    sides = [sr.trace_T(data, nodes * (1 + d)) for d in (1e-9, -1e-9)]
     assert np.abs(at_node - (sides[0] + sides[1]) / 2).max() < 1e-7
 
 
@@ -279,6 +286,22 @@ def test_traceclass_eval_matches_rankone_off_axis(a):
         assert np.all(np.abs(s - ref) <= 1e-8 * np.abs(ref))
 
 
+_NEAR_AXIS = st.tuples(st.floats(0.05, 8), st.floats(-3, np.log10(5)), st.sampled_from([1, -1])).map(
+    lambda t: complex(t[0], t[2] * 10.0 ** t[1]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_COUPLING, zs=st.lists(_NEAR_AXIS, min_size=1, max_size=8))
+def test_traceclass_pole_condition_near_axis(a, zs):
+    # close to (0, inf) the plain quadrature sum was off by up to 64 (relative)
+    zs = np.array(zs)
+    model, closed = sr.TraceClassModel(sr.rankone_trace_data(a)), sr.RankOneModel(a)
+    for sheet in (1, 2):
+        ref = closed.pole_condition(zs, sheet)
+        err = np.abs(model.pole_condition(zs, sheet) - ref)
+        assert np.all(err <= 1e-8 * np.maximum(np.abs(ref), 1.0))
+
+
 @settings(max_examples=10, deadline=None)
 @given(head=st.lists(_OFF_AXIS, min_size=1, max_size=4), seed=st.integers(0, 2**32 - 1),
        sheet=st.sampled_from([1, 2]))
@@ -290,7 +313,7 @@ def test_trace_T_build_L_span_blocks(head, seed, sheet):
     tail = rng.uniform(-8, 8, n) + 1j * rng.uniform(0.05, 8, n) * rng.choice([-1, 1], n)
     zs = np.concatenate([head, tail])
     _assert_matches_loop(sr.trace_T(data, zs), [sr.trace_T(data, z) for z in zs])
-    zs = np.concatenate([zs, [1.5, 4.0]])  # points on [0, inf) take the boundary path
+    zs = np.concatenate([zs, [1.5, 4.0]])  # points on (0, inf) give boundary values
     ell = sr.build_L(data, zs, sheet)
     loop = [sr.build_L(data, z, sheet) for z in zs]
     _assert_matches_loop(ell, loop)
