@@ -19,10 +19,12 @@ from . import finder, smatrix, subspace, verify
 from .hardy import make_grid, norm
 from .semigroup import build_polar_isometry
 
+_CURVE_TOL = 1e-2  # largest departure of |<e, Z(t) e>| from exp(-t |Im zeta|), in ||e||^2
+
 
 def _fmt_json(obj) -> str:
-    if isinstance(obj, float):
-        return format(obj, ".17g")
+    if isinstance(obj, (float, np.floating)):
+        return format(float(obj), ".17g")
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
@@ -35,8 +37,6 @@ def _fmt_json(obj) -> str:
         return "{" + ", ".join(f"{json.dumps(str(k))}: {_fmt_json(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_fmt_json(v) for v in obj) + "]"
-    if isinstance(obj, (np.floating,)):
-        return format(float(obj), ".17g")
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
@@ -177,8 +177,10 @@ def cmd_decay(model, a, v0, radius, grid_n, grid_l, basis_n, times, out_dir):
 
     Exit code 1 flags a bad configuration, including a basis size outside
     [1, grid-n/2]; exit code 2 a pole-scan failure or a decay computation
-    failure (S·N not finite); exit code 3 a trivial admissible subspace (no
-    resonances).
+    failure (S·N not finite, or a decay curve that departs from its
+    reference by more than 1e-2 of ||f||^2, so that the admissible subspace
+    does not hold the decaying eigenvector); exit code 3 a trivial
+    admissible subspace (no resonances).
     """
     try:
         mdl = _parse_model(model, a, v0, radius)
@@ -215,20 +217,16 @@ def cmd_decay(model, a, v0, radius, grid_n, grid_l, basis_n, times, out_dir):
     e = subspace.gamov(slowest.zeta, slowest.kernel, grid)
     e = e * (1.0 / norm(e))
     decay_curve = subspace.transition_curve(e, tgrid, "decay", t_basis=tb, zeta=slowest.zeta)
+    departure = float(np.max(np.abs(np.abs(decay_curve.overlaps) - decay_curve.reference)))
+    if not departure <= _CURVE_TOL:
+        click.echo(f"error: decay curve departs from exp(-t |Im zeta|) by {departure:.3g} (> {_CURVE_TOL:g}): "
+                   f"the admissible subspace does not hold the eigenvector of {slowest.zeta:.6f}", err=True)
+        sys.exit(2)
     iso = build_polar_isometry(grid, rank_budget=basis_n)
     unitary_curve = subspace.transition_curve(e, tgrid, "unitary", isometry=iso, zeta=slowest.zeta)
     rows = ["t,re_decay,im_decay,abs_decay,re_unitary,im_unitary,abs_unitary,reference"]
-    for i, t in enumerate(tgrid):
-        rows.append(",".join([
-            format(t, ".12g"),
-            format(decay_curve.overlaps[i].real, ".12g"),
-            format(decay_curve.overlaps[i].imag, ".12g"),
-            format(abs(decay_curve.overlaps[i]), ".12g"),
-            format(unitary_curve.overlaps[i].real, ".12g"),
-            format(unitary_curve.overlaps[i].imag, ".12g"),
-            format(abs(unitary_curve.overlaps[i]), ".12g"),
-            format(decay_curve.reference[i], ".12g"),
-        ]))
+    for t, d, u, ref in zip(tgrid, decay_curve.overlaps, unitary_curve.overlaps, decay_curve.reference):
+        rows.append(",".join(format(v, ".12g") for v in (t, d.real, d.imag, abs(d), u.real, u.imag, abs(u), ref)))
     _atomic_write(os.path.join(out_dir, "decay.csv"), "\n".join(rows) + "\n")
     click.echo(f"wrote decay.csv for pole {slowest.zeta:.6f} (sheet {slowest.sheet})")
     sys.exit(0)

@@ -462,7 +462,7 @@ def trace_T(data: TraceClassData, z) -> np.ndarray:
     out = np.empty((zf.size, p * p), dtype=complex)
     right = zf.real > 0
     plain = np.flatnonzero(~right)
-    step = max(1, _BLOCK_ENTRIES // q)
+    step = max(1, _BLOCK_ENTRIES // (q * p * p))
     for lo in range(0, plain.size, step):
         rows = plain[lo : lo + step]
         kern = zf[rows, None] - data.lam
@@ -474,16 +474,14 @@ def trace_T(data: TraceClassData, z) -> np.ndarray:
         sub = c * (np.log(zr) - np.log(zr - total))[:, None]
         node = np.minimum(np.searchsorted(data.lam, zr.real), q - 1)
         hit = (zr.imag == 0) & (data.lam[node] == zr.real)
-        # X_q and a last row of ones, which sums the kernel; matvec takes one product
-        # per row, so that a row's value does not depend on the batch
-        cross_one = np.vstack([cross.T, np.ones(q)])
+        # each row takes (X_q - c), small where its kernel is large, and its own
+        # product, so that a row's value does not depend on the batch
         for lo in range(0, zr.size, step):
             kern = zr[lo : lo + step, None] - data.lam
             rows = np.flatnonzero(hit[lo : lo + step])
             kern[rows, node[lo + rows]] = np.inf  # a node hit adds its limit below
             np.divide(data.weights, kern, out=kern)
-            sums = np.matvec(cross_one, kern)
-            sub[lo : lo + step] += sums[:, :-1] - sums[:, -1:] * c[lo : lo + step]
+            sub[lo : lo + step] += (kern[:, None] @ (cross - c[lo : lo + step, None]))[:, 0]
         if hit.any():
             at, h = zr.real[hit], 1e-6 * zr.real[hit]
             slope = (_cross_at(data, at + h) - _cross_at(data, at - h)).reshape(-1, p * p) / (2 * h[:, None])

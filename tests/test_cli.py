@@ -145,6 +145,19 @@ def test_decay_overflowing_model_exit2(runner, tmp_path):
     assert not (tmp_path / "decay.csv").exists()
 
 
+@pytest.mark.parametrize("model", [
+    # resonance 19.9 - 9.14i: the curve departs from its reference by 0.06
+    ["--model", "rankone", "--a", "20.9"],
+    # dim T is 1 for two resonances: abs_decay(0) would read 0.107
+    ["--model", '{"model": "rational", "poles": [[0.3, -1.2], [-1, 0.5], [2, -0.1]]}'],
+])
+def test_decay_curve_off_reference_exit2(runner, tmp_path, model):
+    result = runner.invoke(main, ["decay", *model, "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "error: decay curve departs from exp(-t |Im zeta|)" in result.output
+    assert not (tmp_path / "decay.csv").exists()
+
+
 def _python(*args, cwd=None):
     """Run a fresh interpreter that imports this checkout of scatres."""
     src = os.path.dirname(os.path.dirname(scatres.__file__))
