@@ -463,9 +463,12 @@ def trace_T(data: TraceClassData, z) -> np.ndarray:
     right = zf.real > 0
     plain = np.flatnonzero(~right)
     step = max(1, _BLOCK_ENTRIES // (q * p * p))
+    # every block of the call reuses one kernel buffer (and below one buffer for
+    # X_q - c): a fresh temporary of this size per block is mapped and faulted anew
+    kern_buf = np.empty((min(step, zf.size), q), dtype=complex)
     for lo in range(0, plain.size, step):
         rows = plain[lo : lo + step]
-        kern = zf[rows, None] - data.lam
+        kern = np.subtract(zf[rows, None], data.lam, out=kern_buf[: rows.size])
         np.divide(data.weights, kern, out=kern)
         out[rows] = kern @ cross
     if right.any():
@@ -476,12 +479,14 @@ def trace_T(data: TraceClassData, z) -> np.ndarray:
         hit = (zr.imag == 0) & (data.lam[node] == zr.real)
         # each row takes (X_q - c), small where its kernel is large, and its own
         # product, so that a row's value does not depend on the batch
+        diff_buf = np.empty((min(step, zr.size), q, p * p), dtype=complex)
         for lo in range(0, zr.size, step):
-            kern = zr[lo : lo + step, None] - data.lam
+            kern = np.subtract(zr[lo : lo + step, None], data.lam, out=kern_buf[: min(step, zr.size - lo)])
             rows = np.flatnonzero(hit[lo : lo + step])
             kern[rows, node[lo + rows]] = np.inf  # a node hit adds its limit below
             np.divide(data.weights, kern, out=kern)
-            sub[lo : lo + step] += (kern[:, None] @ (cross - c[lo : lo + step, None]))[:, 0]
+            diff = np.subtract(cross, c[lo : lo + step, None], out=diff_buf[: kern.shape[0]])
+            sub[lo : lo + step] += (kern[:, None] @ diff)[:, 0]
         if hit.any():
             at, h = zr.real[hit], 1e-6 * zr.real[hit]
             slope = (_cross_at(data, at + h) - _cross_at(data, at - h)).reshape(-1, p * p) / (2 * h[:, None])
