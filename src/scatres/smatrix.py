@@ -373,8 +373,8 @@ class TraceClassData:
         self.b_vals = np.asarray(self.b_vals, dtype=complex)
         if self.a_vals.shape != self.b_vals.shape or self.a_vals.shape[0] != self.lam.size:
             raise ValueError("form factor arrays must share shape (Q, m, p)")
-        # A(lam)* B(lam) on the grid, shape (Q, p, p)
-        self._cross = np.einsum("qmi,qmj->qij", np.conj(self.a_vals), self.b_vals)
+        # A(lam)* B(lam) on the grid, shape (Q, p, p); C order lets trace_T view it as float pairs
+        self._cross = np.einsum("qmi,qmj->qij", np.conj(self.a_vals), self.b_vals, order="C")
 
     @property
     def aux_dim(self) -> int:
@@ -445,6 +445,9 @@ def trace_T(data: TraceClassData, z) -> np.ndarray:
 
     Where Re z > 0, next to the nodes, ``c = X(z)`` (``c_fun(sqrt z)``, or the
     samples interpolated at Re z) subtracts the singularity; elsewhere ``c = 0``.
+    On the negative axis (the rims, either sign of the zero imaginary part) the
+    kernel ``w_q / (x - lam_q)`` is real: it is formed in float64 and takes one
+    real product against ``X_q`` viewed as interleaved real and imaginary parts.
     A real ``0 < mu < Lam`` is approached from above, ``T(mu + i0)``, unless its
     zero imaginary part is negative; a node ``lam_q == mu`` contributes its
     limit ``-w_q X'(mu)`` (central difference).  ``z = 0`` and a real
@@ -461,16 +464,24 @@ def trace_T(data: TraceClassData, z) -> np.ndarray:
     cross = data._cross.reshape(q, p * p)
     out = np.empty((zf.size, p * p), dtype=complex)
     right = zf.real > 0
-    plain = np.flatnonzero(~right)
+    plain = np.flatnonzero(~right & (zf.imag != 0))
+    rim = np.flatnonzero(~right & (zf.imag == 0))
     step = max(1, _BLOCK_ENTRIES // (q * p * p))
     # every block of the call reuses one kernel buffer (and below one buffer for
     # X_q - c): a fresh temporary of this size per block is mapped and faulted anew
-    kern_buf = np.empty((min(step, zf.size), q), dtype=complex)
+    kern_buf = np.empty((min(step, zf.size - rim.size), q), dtype=complex)
     for lo in range(0, plain.size, step):
         rows = plain[lo : lo + step]
         kern = np.subtract(zf[rows, None], data.lam, out=kern_buf[: rows.size])
         np.divide(data.weights, kern, out=kern)
         out[rows] = kern @ cross
+    # rim rows: a real kernel against X_q as (re, im) pairs, shape (Q, 2 p^2)
+    real_buf = np.empty((min(step, rim.size), q))
+    for lo in range(0, rim.size, step):
+        rows = rim[lo : lo + step]
+        kern = np.subtract(zf.real[rows, None], data.lam, out=real_buf[: rows.size])
+        np.divide(data.weights, kern, out=kern)
+        out.view(float)[rows] = kern @ cross.view(float)
     if right.any():
         zr = zf[right]
         c = _cross_at(data, zr).reshape(-1, p * p)

@@ -319,6 +319,51 @@ def test_trace_T_build_L_span_blocks(head, seed, sheet):
     _assert_matches_loop(ell, loop)
 
 
+def test_trace_T_real_axis_rows():
+    # negative-axis rows take a real kernel; they equal the complex-kernel sum
+    rng = np.random.default_rng(19)
+    k, wk = sr.smatrix._gl_panels(0.0, 40.0)
+    shape = (k.size, 2, 2)
+    # Fortran-ordered form factors: the real product views A* B as float pairs
+    a_vals, b_vals = (np.asfortranarray(rng.normal(size=shape) + 1j * rng.normal(size=shape)) for _ in range(2))
+    data = sr.TraceClassData(lam=k**2, weights=2 * k * wk, a_vals=a_vals, b_vals=b_vals)
+    xs = -np.geomspace(1e-3, 50, 40)
+    kern = (data.weights / (xs[:, None] - data.lam)).astype(complex)
+    ref = (kern @ data._cross.reshape(k.size, 4)).reshape(-1, 2, 2)
+    for zero in (0.0, -0.0):
+        zs = xs.astype(complex)
+        zs.imag = zero
+        t = sr.trace_T(data, zs)
+        assert np.all(np.abs(t - ref) <= 1e-14 * np.maximum(np.abs(ref), 1.0))
+    # a batch over more than one block mixes rim, off-axis and Re z > 0 rows
+    block = sr.smatrix._BLOCK_ENTRIES // (k.size * 4)
+    n = 3 * block
+    zs = np.concatenate([
+        -rng.uniform(1e-3, 50, n) + 0j,
+        [complex(x, -0.0) for x in -rng.uniform(1e-3, 50, n)],
+        rng.uniform(-8, 8, n) + 1j * rng.uniform(0.05, 8, n) * rng.choice([-1, 1], n),
+        rng.uniform(0.1, 50, n) + 0j,
+    ])
+    zs = zs[rng.permutation(zs.size)]
+    _assert_matches_loop(sr.trace_T(data, zs), [sr.trace_T(data, z) for z in zs])
+
+
+# the rims R- +- i0 down to near the branch point; x = -1 is the form factor's
+# double pole, where the sheet-two conditions are both infinite
+_RIM = st.floats(-50, -1e-4).filter(lambda x: x != -1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_COUPLING, xs=st.lists(_RIM, min_size=1, max_size=16))
+def test_traceclass_rims_match_rankone(a, xs):
+    xs = np.array(xs, dtype=complex)
+    model, closed = sr.TraceClassModel(sr.rankone_trace_data(a)), sr.RankOneModel(a)
+    for sheet in (1, 2):
+        ref = closed.pole_condition(xs, sheet)
+        err = np.abs(model.pole_condition(xs, sheet) - ref)
+        assert np.all(err <= 2e-8 * np.maximum(np.abs(ref), 1.0))
+
+
 def test_two_sheet_boundary_relation():
     m = sr.RankOneModel(1.0)
     lneg = np.array([-0.4, -1.6, -3.2])
