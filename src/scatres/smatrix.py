@@ -470,18 +470,16 @@ def trace_T(data: TraceClassData, z) -> np.ndarray:
     # every block of the call reuses one kernel buffer (and below one buffer for
     # X_q - c): a fresh temporary of this size per block is mapped and faulted anew
     kern_buf = np.empty((min(step, zf.size - rim.size), q), dtype=complex)
-    for lo in range(0, plain.size, step):
-        rows = plain[lo : lo + step]
-        kern = np.subtract(zf[rows, None], data.lam, out=kern_buf[: rows.size])
-        np.divide(data.weights, kern, out=kern)
-        out[rows] = kern @ cross
-    # rim rows: a real kernel against X_q as (re, im) pairs, shape (Q, 2 p^2)
     real_buf = np.empty((min(step, rim.size), q))
-    for lo in range(0, rim.size, step):
-        rows = rim[lo : lo + step]
-        kern = np.subtract(zf.real[rows, None], data.lam, out=real_buf[: rows.size])
-        np.divide(data.weights, kern, out=kern)
-        out.view(float)[rows] = kern @ cross.view(float)
+    # off-axis rows take the complex kernel; rim rows a real kernel against X_q
+    # as (re, im) pairs, shape (Q, 2 p^2)
+    for idx, pts, buf, x, res in ((plain, zf, kern_buf, cross, out),
+                                  (rim, zf.real, real_buf, cross.view(float), out.view(float))):
+        for lo in range(0, idx.size, step):
+            rows = idx[lo : lo + step]
+            kern = np.subtract(pts[rows, None], data.lam, out=buf[: rows.size])
+            np.divide(data.weights, kern, out=kern)
+            res[rows] = kern @ x
     if right.any():
         zr = zf[right]
         c = _cross_at(data, zr).reshape(-1, p * p)

