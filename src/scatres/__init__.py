@@ -58,7 +58,6 @@ from .finder import (
     ScanRegion,
     conjugate_pair_audit,
     find_resonances,
-    kernel_vector,
     refine,
     resonances_to_csv,
     resonances_to_json,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .smatrix import SMatrixModel, TraceClassModel, _sign_change_roots, build_L
+from .smatrix import SMatrixModel, _sign_change_roots
 
 __all__ = [
     "Resonance",
@@ -24,7 +24,6 @@ __all__ = [
     "scan_region",
     "refine",
     "rim_scan",
-    "kernel_vector",
     "conjugate_pair_audit",
     "AuditReport",
     "find_resonances",
@@ -209,34 +208,13 @@ def rim_scan(model: SMatrixModel, x_min: float, x_max: float, sheet: int,
     return [_classify(model, complex(root), sheet, 0) for root in roots]
 
 
-def _kernel_and_residual(model: SMatrixModel, zeta: complex, sheet: int | None = None):
-    zeta = complex(zeta)
-    if isinstance(model, TraceClassModel):
-        # kernels from L: its null vector lives in the auxiliary space, and at the
-        # sheet-two antiresonances S(conj zeta) is infinite
-        mat = build_L(model.data, zeta, sheet or 1)
-    elif zeta.imag == 0 and model.sheet_count == 2:
-        k = np.ones(model.dim_k, dtype=complex)
-        return k / np.linalg.norm(k), abs(complex(model.pole_condition(zeta, sheet or 1)))
-    else:
-        mat = np.conj(model.eval_physical(np.conj(zeta))).T
-    _, s, vh = np.linalg.svd(np.atleast_2d(mat))
+def _kernel_and_residual(model: SMatrixModel, zeta: complex, sheet: int):
+    """Smallest singular pair of the condition matrix at ``zeta``: the unit kernel,
+    phased so that its largest entry is real and positive, and the residual."""
+    _, s, vh = np.linalg.svd(model.condition_matrix(complex(zeta), sheet))
     k = vh[-1].conj()
-    return k / np.linalg.norm(k), float(s[-1])
-
-
-def kernel_vector(model: SMatrixModel, zeta: complex, sheet: int | None = None) -> np.ndarray:
-    """Unit vector minimizing ``||S(conj(zeta))* k||`` at a located pole.
-
-    Raises when the minimized value stays above 1e-6, which signals
-    that the point is not a genuine pole.  On the negative axis, where S is
-    singular at the conjugate point, the kernel is ``[1]`` with residual
-    ``|pole_condition|``; trace-class models read both from ``L``.
-    """
-    k, val = _kernel_and_residual(model, zeta, sheet)
-    if val > 1e-6:
-        raise ValueError(f"point {zeta} is not a pole: min ||S(conj zeta)* k|| = {val:.3e} > 1e-06")
-    return k
+    big = k[np.argmax(np.abs(k))]
+    return k * (np.conj(big) / abs(big)), float(s[-1])
 
 
 @dataclass

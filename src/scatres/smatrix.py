@@ -61,7 +61,9 @@ class SMatrixModel:
     A model defines only ``pole_condition``, which takes a scalar or an array
     ``z`` and returns an array of shape ``z.shape``; the scattering matrix
     ``eval`` is derived from it, so scan grids, contours and boundary samples
-    are evaluated in one call and ``S`` cannot disagree with its poles.
+    are evaluated in one call and ``S`` cannot disagree with its poles.  A
+    model whose pole condition is a determinant also returns its matrix from
+    ``condition_matrix``.
     """
 
     name: str = "abstract"
@@ -74,6 +76,13 @@ class SMatrixModel:
         raise NotImplementedError
 
     # -- shared ----------------------------------------------------------
+    def condition_matrix(self, z, sheet: int = 1) -> np.ndarray:
+        """Matrix whose determinant is the pole condition: here ``pole_condition``
+        as 1x1, shape ``z.shape + (1, 1)``; trace-class models return ``L``."""
+        if self.dim_k != 1:
+            raise NotImplementedError("the scalar condition matrix is implemented for multiplicity one")
+        return np.reshape(self.pole_condition(z, sheet), np.shape(z) + (1, 1))
+
     def eval(self, z, sheet: int = 1) -> np.ndarray:
         """Scattering matrix on the given sheet; shape ``z.shape + (1, 1)``.
 
@@ -238,15 +247,20 @@ def _sign_change_roots(f, xs: np.ndarray, vals: np.ndarray) -> list[float]:
     Each exact zero of ``vals`` is a root.  All sign-change brackets between
     adjacent samples are polished together, one call of ``f`` per step on every
     open bracket: Newton with the central-difference slope of
-    :func:`scatres.finder.refine` from the secant point, bisection whenever a
-    step leaves its bracket, until a step is below Brent's tolerance
-    ``1e-14 + 4 eps |x|``.  A NaN value raises ``ValueError``, 100 steps
-    without convergence ``RuntimeError``.
+    :func:`scatres.finder.refine` from the secant point, until a step is below
+    Brent's tolerance ``tol = 1e-14 + 4 eps |x|``.  A step that leaves its
+    bracket bisects it, and so does a Newton step longer than half the Newton
+    (or secant) step before it while the bracket is wider than ``2 tol``: next
+    to a root of odd multiplicity the slope over ``x +- h`` is dominated by
+    ``h`` and Newton creeps.  A Newton step right after a bisection does not
+    count as converged.  A NaN value raises ``ValueError``, 100 steps without
+    convergence ``RuntimeError``.
     """
     zero = np.flatnonzero(vals[:-1] == 0)
     idx = np.flatnonzero(vals[:-1] * vals[1:] < 0)
     lo, hi, f_lo = xs[idx], xs[idx + 1], vals[idx]
     x = lo - f_lo * (hi - lo) / (vals[idx + 1] - f_lo)
+    last = hi - lo  # each bracket's previous step, the secant's first; inf after a bisection
     live = np.arange(idx.size)
     for _ in range(100):
         if not live.size:
@@ -258,15 +272,19 @@ def _sign_change_roots(f, xs: np.ndarray, vals: np.ndarray) -> list[float]:
             raise ValueError(f"the function value at x={xl[np.isnan(f0)][0]} is NaN; "
                              "solver cannot continue")
         keep_lo = np.sign(f0) == np.sign(f_lo[live])
-        lo[live] = np.where(keep_lo, xl, lo[live])
+        left, right = np.where(keep_lo, xl, lo[live]), np.where(keep_lo, hi[live], xl)
+        lo[live], hi[live] = left, right
         f_lo[live] = np.where(keep_lo, f0, f_lo[live])
-        hi[live] = np.where(keep_lo, hi[live], xl)
         with np.errstate(divide="ignore", invalid="ignore"):
             x_new = xl - f0 * 2 * h / (f_plus - f_minus)
-        inside = (x_new > lo[live]) & (x_new < hi[live])
-        x_new = np.where(f0 == 0, xl, np.where(inside, x_new, (lo[live] + hi[live]) / 2))
-        x[live] = x_new
-        live = live[np.abs(x_new - xl) >= 1e-14 + 4 * np.finfo(float).eps * np.abs(x_new)]
+        tol = 1e-14 + 4 * np.finfo(float).eps * np.abs(xl)
+        prev = last[live]
+        fast = (np.abs(x_new - xl) <= prev / 2) | (right - left <= 2 * tol)
+        newton = (x_new > left) & (x_new < right) & fast
+        x_new = np.where(f0 == 0, xl, np.where(newton, x_new, (left + right) / 2))
+        step = np.abs(x_new - xl)
+        x[live], last[live] = x_new, np.where(newton, step, np.inf)
+        live = live[(step >= tol) | (newton & (prev == np.inf))]
     if live.size:
         raise RuntimeError(f"root polishing failed to converge after 100 steps, values {x[live]}")
     roots = np.concatenate([xs[zero], x])
@@ -550,8 +568,11 @@ class TraceClassModel(SMatrixModel):
         self.dim_k = data.a_vals.shape[1]
         self.name = name
 
+    def condition_matrix(self, z, sheet: int = 1):
+        return build_L(self.data, z, sheet)
+
     def pole_condition(self, z, sheet: int = 1):
-        return np.linalg.det(build_L(self.data, z, sheet))
+        return np.linalg.det(self.condition_matrix(z, sheet))
 
     def scale(self):
         # sum_q w_q ||X_q||_1: |a| for the rank-one reduction

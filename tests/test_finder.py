@@ -47,6 +47,7 @@ def test_refine_rankone():
     res = sr.refine(sr.RankOneModel(1.0), -0.5 - 1.5j, sheet=2)
     assert abs(res.zeta - (-2j)) < 1e-10
     assert res.kind == "resonance"
+    assert abs(abs(res.kernel[0]) - 1.0) < 1e-12
     assert res.residual < 1e-10
 
 
@@ -62,18 +63,6 @@ def test_rim_scan_bound_state():
     assert len(found) == 1
     assert found[0].kind == "bound_state"
     assert abs(found[0].zeta - (-(3 - 2 * SQ2))) < 1e-10
-
-
-def test_kernel_vector_example1():
-    k = sr.kernel_vector(sr.example1(), 1 - 1j)
-    assert abs(abs(k[0]) - 1) < 1e-12
-    with pytest.raises(ValueError):
-        sr.kernel_vector(sr.example1(), -1 - 1j)  # regular point
-
-
-def test_kernel_vector_rankone():
-    k = sr.kernel_vector(sr.RankOneModel(1.0), -2j, sheet=2)
-    assert abs(abs(k[0]) - 1) < 1e-12
 
 
 def test_conjugate_pair_audit():
@@ -165,6 +154,35 @@ def test_find_resonances_traceclass_off_axis():
         assert len(res) == 1 and res[0].sheet == 2
         assert abs(res[0].zeta - (a - 1 - 2j * np.sqrt(a))) < 1e-8
         assert res[0].residual < 1e-10
+
+
+def _two_channel_data(a1, a2):
+    """Block-diagonal form factors ``A = diag(e, e)``, ``B = diag(a1 e, a2 e)`` of the rank-one ``e``."""
+    one = sr.rankone_trace_data(1.0)
+    e = one.a_vals[:, 0, 0]
+    zero = np.zeros_like(e)
+    a_vals = np.stack([np.stack([e, zero], -1), np.stack([zero, e], -1)], -2)
+    b_vals = a_vals * np.array([a1, a2])
+    def c_fun(k):
+        return one.c_fun(k) * np.diag([a1, a2])
+    return sr.TraceClassData(lam=one.lam, weights=one.weights, a_vals=a_vals, b_vals=b_vals,
+                             c_fun=c_fun, tail_bound=one.tail_bound * max(abs(a1), abs(a2)))
+
+
+def test_find_resonances_two_channel_kernels():
+    # L is 2x2: each channel's resonance has the kernel of its own channel
+    found = sr.find_resonances(sr.TraceClassModel(_two_channel_data(1.0, 4.0)))
+    assert [(r.sheet, r.kind) for r in found] == [(2, "resonance")] * 2
+    for r, zeta, kernel in zip(found, (-2j, 3 - 4j), ([1, 0], [0, 1])):
+        assert abs(r.zeta - zeta) < 1e-6
+        assert abs(abs(np.vdot(kernel, r.kernel)) - 1) < 1e-6
+        assert r.residual < 1e-10
+
+
+def test_kernel_phase_makes_largest_entry_positive():
+    res = sr.refine(sr.TraceClassModel(_two_channel_data(1.0, 4.0)), 3.01 - 4.01j, sheet=2)
+    assert np.abs(res.kernel - [0, 1]).max() < 1e-6
+    assert res.kernel[1].imag == 0
 
 
 class _NoOffAxisS(sr.SMatrixModel):

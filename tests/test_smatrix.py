@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
@@ -216,7 +216,8 @@ def test_trace_csv_weights_resolve_threshold(tmp_path):
 # Array contract: a batched call equals the loop of scalar calls.  Values are
 # compared relative to max(|value|, 1), because the trace-class quadrature sums
 # O(1) terms whose order differs between the two calls; at a pole of S both
-# calls must be non-finite, so the division by zero there is not an error.
+# calls must be non-finite, so the division by zero there is not an error, nor
+# the overflow at a draw 5e-324 from example1's pole i.
 _CONTRACT_MODELS = [
     sr.example1(),
     sr.RankOneModel(1.0),
@@ -238,9 +239,11 @@ def _assert_matches_loop(batch, loop):
 
 
 @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+                            "ignore:invalid value:RuntimeWarning",
+                            "ignore:overflow:RuntimeWarning")
 @settings(max_examples=30, deadline=None)
 @given(zs=st.lists(_OFF_AXIS, min_size=1, max_size=12))
+@example(zs=[5e-324 + 1j])
 def test_pole_condition_array_contract(zs):
     zs = np.array(zs)
     for model in _CONTRACT_MODELS:
@@ -262,13 +265,25 @@ def _rankone_closed_form(a, z, sheet):
 @settings(max_examples=60, deadline=None)
 @given(exponent=st.floats(-1.5, 1.5), sign=st.sampled_from([1, -1]),
        zs=st.lists(_OFF_AXIS, min_size=1, max_size=8), sheet=st.sampled_from([1, 2]))
+@example(exponent=0.0, sign=1, zs=[2j], sheet=2)  # the pole of S at a = 1
+@example(exponent=0.0, sign=1, zs=[2.00001j], sheet=2)  # next to it
 def test_rankone_eval_matches_closed_form(exponent, sign, zs, sheet):
-    # the pole-condition ratio against the hand-derived rank-one S
+    # the pole-condition ratio against the hand-derived rank-one S: non-finite
+    # at the same points, and elsewhere equal to a tolerance scaled by the
+    # conditioning of the shared denominator a + (1 - ik)^2
     a = sign * 10.0**exponent
     zs = np.array(zs)
-    s = sr.RankOneModel(a).eval(zs, sheet)[:, 0, 0]
-    closed = _rankone_closed_form(a, zs, sheet)
-    assert np.all(np.abs(s - closed) <= 1e-12 * np.maximum(np.abs(closed), 1.0))
+    w = (1 - 1j * sr.momentum(zs, sheet)) ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        closed = _rankone_closed_form(a, zs, sheet)
+        cond = (abs(a) + np.abs(w)) / np.abs(a + w)
+    pole = ~np.isfinite(closed)
+    at_pole = "ignore" if pole.any() else "warn"  # warnings stay errors off the poles
+    with np.errstate(divide=at_pole, invalid=at_pole):
+        s = sr.RankOneModel(a).eval(zs, sheet)[:, 0, 0]
+    assert np.array_equal(~np.isfinite(s), pole)
+    s, closed, cond = s[~pole], closed[~pole], cond[~pole]
+    assert np.all(np.abs(s - closed) <= 1e-12 * cond * np.maximum(np.abs(closed), 1.0))
 
 
 # verify's traceT_vs_closed panel without z = -1, the double pole of the form
@@ -459,6 +474,15 @@ def test_sign_change_roots_takes_exact_zero_samples():
     xs = np.array([-2.0, -1.0, 0.0, 1.5, 3.0])
     roots = sr.smatrix._sign_change_roots(lambda x: x * x - 2.25, xs, xs * xs - 2.25)
     assert roots == [-1.5, 1.5]
+
+
+@pytest.mark.parametrize("p", [3, 5, 9, 15])
+def test_sign_change_roots_polishes_odd_multiplicities(p):
+    # within h of the root the central-difference slope is O(h^(p-1)): Newton
+    # creeps, and only bisection closes the bracket
+    xs = np.linspace(-1, 1, 1001)
+    roots = sr.smatrix._sign_change_roots(lambda x: (x - 0.1234567) ** p, xs, (xs - 0.1234567) ** p)
+    assert len(roots) == 1 and abs(roots[0] - 0.1234567) < 1e-13
 
 
 def test_squarewell_unitarity_and_validation():
