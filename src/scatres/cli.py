@@ -59,11 +59,11 @@ def _parse_model(model, a, v0, radius):
     text = model.strip()
     if text.startswith("{"):
         spec = json.loads(text)
-    elif os.path.exists(text):
+    elif text in smatrix.MODEL_NAMES or not os.path.exists(text):
+        spec = {"model": text}
+    else:
         with open(text) as fh:
             spec = json.load(fh)
-    else:
-        spec = {"model": text}
     if a is not None:
         spec.setdefault("a", a)
     if v0 is not None:

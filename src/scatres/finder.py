@@ -34,6 +34,7 @@ __all__ = [
 
 _RIM_EXTENT = 8.0  # the rim scans cover at least [-_RIM_EXTENT, -1e-6]
 _AUDIT_TOL = 1e-8  # conjugate_pair_audit: poles this close to conjugate, this far off the axis, pair
+_RESOLUTION = 41  # scan_region samples each side of a rectangle at this many points
 
 
 @dataclass
@@ -64,13 +65,10 @@ class ScanRegion:
     im_min: float
     im_max: float
     sheet: int = 1
-    resolution: int = 41
 
     def __post_init__(self):
         if not (self.re_max > self.re_min and self.im_max > self.im_min):
             raise ValueError("degenerate scan rectangle")
-        if self.resolution < 5:
-            raise ValueError("resolution too small")
         if self.im_min < 0 < self.im_max and self.re_min < 0:
             raise ValueError("rectangle crosses the cut (-inf, 0]; scan rims separately")
 
@@ -116,11 +114,12 @@ def scan_region(model: SMatrixModel, region: ScanRegion) -> list[complex]:
     The pole condition is sampled on the region's grid in one call; every
     interior local minimum of its modulus is the centre of a grid cell whose
     winding number is counted.  Cells carrying winding >= 2 are subdivided
-    until each candidate is simple or the cell is irreducibly small.
+    until each candidate is simple or the cell is irreducibly small; every
+    candidate the cells yield is returned.
     """
     region.check_model(model)
-    re = np.linspace(region.re_min, region.re_max, region.resolution)
-    im = np.linspace(region.im_min, region.im_max, region.resolution)
+    re = np.linspace(region.re_min, region.re_max, _RESOLUTION)
+    im = np.linspace(region.im_min, region.im_max, _RESOLUTION)
     zs = re[None, :] + 1j * im[:, None]
     det = np.abs(model.pole_condition(zs, region.sheet))
     cands: list[complex] = []
@@ -138,25 +137,21 @@ def scan_region(model: SMatrixModel, region: ScanRegion) -> list[complex]:
     for i, j in zip(*np.nonzero(is_min)):
         center = complex(zs[1 + i, 1 + j])
         cands.extend(_resolve_cell(fn, center, hw, hh))
-    # dedupe
-    out: list[complex] = []
-    for c in cands:
-        if all(abs(c - o) > 0.5 * min(hw, hh) for o in out):
-            out.append(c)
-    return sorted(out, key=lambda z: (z.real, z.imag))
+    return sorted(cands, key=lambda z: (z.real, z.imag))
 
 
-def _resolve_cell(fn, center: complex, hw: float, hh: float, depth: int = 0) -> list[complex]:
+def _resolve_cell(fn, center: complex, hw: float, hh: float) -> list[complex]:
+    """Candidates of a cell: its centre at winding one; at higher winding those
+    of its four quarters, until a half-side falls below 1e-6."""
     w, _ = winding_number(fn, center, hw, hh)
     if w <= 0:
         return []
-    if w == 1 or depth >= 5 or min(hw, hh) < 1e-6:
-        # multiplicity beyond one in an irreducibly small cell is reported as-is
-        return [center] * max(1, w if depth >= 5 else 1)
+    if w == 1 or min(hw, hh) < 1e-6:
+        return [center]
     quads = [center + dx * hw / 2 + 1j * dy * hh / 2 for dx in (-1, 1) for dy in (-1, 1)]
     found: list[complex] = []
     for q in quads:
-        found.extend(_resolve_cell(fn, q, hw / 2, hh / 2, depth + 1))
+        found.extend(_resolve_cell(fn, q, hw / 2, hh / 2))
     return found or [center]
 
 
@@ -252,20 +247,19 @@ def find_resonances(model: SMatrixModel, regions: list[ScanRegion] | None = None
 
     A model of scale ``s = model.scale()`` is scanned out to
     ``R = max(6, (1 + sqrt s)^2 + 1)``, which holds every rank-one pole (a
-    scale of 0 gives ``R = 6``): two-sheet models by default on the sheet-two
-    box ``[-R, R] x [-R, -0.02]``, and on ``[-max(8, R), -1e-6]`` along the rims
-    of both sheets, or of the sheets the user regions name.
+    scale of 0 gives ``R = 6``).  The default box is ``[-R, R] x [-R, -0.02]``
+    on the model's last sheet, for one-sheet models with its mirror
+    ``[-R, R] x [0.02, R]``; two-sheet models are also scanned on
+    ``[-max(8, R), -1e-6]`` along the rims of both sheets, or of the sheets
+    the user regions name.  Refined poles closer than 1e-8 on one sheet are
+    reported once.
     """
     reach = max(6.0, (1 + np.sqrt(model.scale())) ** 2 + 1)
     rim_sheets = [1, 2] if regions is None else sorted({region.sheet for region in regions})
     if regions is None:
+        regions = [ScanRegion(-reach, reach, -reach, -0.02, sheet=model.sheet_count)]
         if model.sheet_count == 1:
-            regions = [
-                ScanRegion(-6, 6, 0.02, 6, sheet=1),
-                ScanRegion(-6, 6, -6, -0.02, sheet=1),
-            ]
-        else:
-            regions = [ScanRegion(-reach, reach, -reach, -0.02, sheet=2)]
+            regions.insert(0, ScanRegion(-reach, reach, 0.02, reach, sheet=1))
     found: list[Resonance] = []
     for region in regions:
         for cand in scan_region(model, region):

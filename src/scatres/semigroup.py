@@ -137,14 +137,6 @@ class IsometryPair:
     _p: np.ndarray = field(repr=False)
     _vh: np.ndarray = field(repr=False)
 
-    @property
-    def smallest_retained(self) -> float:
-        return float(self.singular_values.min())
-
-    @property
-    def largest_retained(self) -> float:
-        return float(self.singular_values.max())
-
     def _synthesize(self, y: np.ndarray) -> np.ndarray:
         """``q y = [Q- Z- y; Q+ Z+ y]`` for an r-row block y."""
         r = self._z.shape[1]
@@ -207,13 +199,9 @@ def build_polar_isometry(grid: Grid, rank_budget: int = 48) -> IsometryPair:
     )
 
 
-def transfer_apply(iso: IsometryPair, f: GridFunction, t: float, which: str) -> GridFunction:
-    """Conjugate the chosen semigroup by the isometry: ``R o S(t) o R*``."""
-    if which not in ("T", "C"):
-        raise ValueError(f"which must be 'T' or 'C', got {which!r}")
-    g = iso.adjoint(f)
-    h = apply_T(g, t) if which == "T" else apply_C(g, t)
-    return iso.forward(h)
+def transfer_apply(iso: IsometryPair, f: GridFunction, t: float) -> GridFunction:
+    """Conjugate the characteristic semigroup by the isometry: ``R o C(t) o R*``."""
+    return iso.forward(apply_C(iso.adjoint(f), t))
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ __all__ = [
     "trace_T",
     "build_L",
     "load_trace_csv",
+    "MODEL_NAMES",
     "model_from_spec",
 ]
 
@@ -128,17 +129,15 @@ class SMatrixModel:
             return self.eval(z, 1)
         return self.eval(z, 1 if complex(z).imag >= 0 else 2)
 
-    def upper_half_poles(self) -> list[tuple[complex, int]]:
-        """Poles of the physical surface in the open upper half plane."""
+    def constraint_poles(self) -> list[tuple[complex, int]]:
+        """Poles of ``S(lam + i0)`` continued into the closed upper half plane, as
+        (position, order): the upper-half-plane poles of a one-sheet model, the
+        upper-rim poles on the negative axis of a two-sheet model."""
         return []
 
     def scale(self) -> float:
         """Coupling strength that sets how far the default pole scan reaches; 0 for the fixed reach."""
         return 0.0
-
-    def upper_rim_poles(self) -> list[tuple[float, int]]:
-        """Poles on the negative axis approached from above, as (position, order)."""
-        return []
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +170,7 @@ class RationalModel(SMatrixModel):
             s = s * (z - p) / (z - np.conj(p))
         return s
 
-    def upper_half_poles(self):
+    def constraint_poles(self):
         out: dict[complex, int] = {}
         for p in self.poles:
             if p.imag > 0:
@@ -225,16 +224,13 @@ class RankOneModel(SMatrixModel):
         root = np.sqrt(complex(-self.a))
         return [-1j * (1 - root), -1j * (1 + root)]
 
-    def upper_rim_poles(self):
+    def constraint_poles(self):
         # double pole of the form factor at z = -1 on every sheet's rim
         poles = [(-1.0, 2)]
         for k in self.eigen_momenta():
             if k.imag > 1e-14 and abs(k.real) < 1e-14:
                 poles.append((-(k.imag ** 2), 1))
         return sorted(poles)
-
-    def trace_data(self) -> "TraceClassData":
-        return rankone_trace_data(self.a)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +353,7 @@ class SquareWellModel(SMatrixModel):
         grid = np.linspace(1e-9, np.sqrt(self.v0) * (1 - 1e-12), 800)
         return _sign_change_roots(g, grid, g(grid))
 
-    def upper_rim_poles(self):
+    def constraint_poles(self):
         return [(-kap**2, 1) for kap in self.bound_state_momenta()]
 
 
@@ -382,7 +378,7 @@ class TraceClassData:
     b_vals: np.ndarray
     c_fun: object = None
     tail_bound: float = 0.0
-    _cross: np.ndarray = field(default=None, repr=False)
+    _cross: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.lam = np.asarray(self.lam, dtype=float)
@@ -629,8 +625,11 @@ def load_trace_csv(path) -> TraceClassData:
     return TraceClassData(lam=lam, weights=w, a_vals=a_vals, b_vals=b_vals, tail_bound=tail)
 
 
+MODEL_NAMES = ("example1", "rankone", "squarewell", "traceclass", "rational")
+
+
 def model_from_spec(spec) -> SMatrixModel:
-    """Build a model from a parsed description ``{"model": name, ...}``."""
+    """Build a model from a parsed description ``{"model": name, ...}``, a name of ``MODEL_NAMES``."""
     if isinstance(spec, str):
         spec = json.loads(spec)
     if not isinstance(spec, dict) or "model" not in spec:

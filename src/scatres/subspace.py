@@ -103,10 +103,10 @@ def build_N_basis(model: SMatrixModel, n: int, mode: str, grid: Grid) -> Subspac
     upper-half-plane poles through the multiplier
     ``prod((lam - xi_j)/(lam + i))^{g_j}``; ``mode='rim_poles'`` enforces
     vanishing at the negative-axis poles of the upper boundary values through
-    ``p(lam)/(lam + i)^g`` with ``p`` the monic polynomial over the rim poles.
-    With no constraints the result is the full truncated basis.  A mode that
-    does not match the model (``upper_poles`` for one sheet, ``rim_poles`` for
-    two) is a ``ValueError``: the other pole list is empty.
+    ``p(lam)/(lam + i)^g`` with ``p`` the monic polynomial over the rim poles;
+    both read ``model.constraint_poles()``.  With no constraints the result is
+    the full truncated basis.  A mode that does not match the model
+    (``upper_poles`` for one sheet, ``rim_poles`` for two) is a ``ValueError``.
 
     The multiplier is a polynomial in ``t = (lam - i)/(lam + i)`` and ``phi_j``
     carries ``t^j``, so the multiplied basis has exact coefficients: the
@@ -119,8 +119,7 @@ def build_N_basis(model: SMatrixModel, n: int, mode: str, grid: Grid) -> Subspac
     if mode != expected:
         raise ValueError(f"mode must be {expected!r} for the {model.sheet_count}-sheet model "
                          f"{model.name}, got {mode!r}")
-    poles = model.upper_half_poles() if mode == "upper_poles" else model.upper_rim_poles()
-    factors = [(complex(pos), int(g)) for pos, g in poles]
+    factors = [(complex(pos), int(g)) for pos, g in model.constraint_poles()]
     if mode == "rim_poles" and any(pos.real >= 0 for pos, _ in factors):
         raise ValueError("rim poles must sit on the negative axis")
     poly = _constraint_polynomial(factors)

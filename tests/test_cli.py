@@ -206,6 +206,15 @@ def test_os_errors_exit1_without_traceback(tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("name, options", [("example1", []), ("rankone", ["--a", "1"])])
+def test_model_name_is_never_read_as_a_path(tmp_path, name, options):
+    # the first run leaves a directory of the model's name in the working directory
+    for out in (name, "again"):
+        proc = _cli("resonances", "--model", name, *options, "--out", out, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / name / "poles.json").read_bytes() == (tmp_path / "again" / "poles.json").read_bytes()
+
+
 def test_cli_import_loads_no_scipy():
     proc = _python("-c", "import sys, scatres.cli; "
                          "print(sorted(m for m in sys.modules if m.startswith('scipy')))")

@@ -86,12 +86,24 @@ def test_conjugate_pair_audit():
 
 def test_completeness_random_couplings():
     rng = np.random.default_rng(5)
-    region = [sr.ScanRegion(-10, 10, -10, -0.01, sheet=2, resolution=61)]
+    region = [sr.ScanRegion(-10, 10, -10, -0.01, sheet=2)]
     for a in rng.uniform(1e-3, 10.0, size=20):
         found = sr.find_resonances(sr.RankOneModel(float(a)), regions=region)
         expected = a - 1 - 2j * np.sqrt(a)
         assert len(found) == 1
         assert abs(found[0].zeta - expected) < 1e-8
+
+
+def test_find_resonances_separates_close_poles():
+    # a split cell hands every quarter's candidate to Newton: none is merged away
+    for poles in ([1 - 1j, 1.02 - 1j], [1 - 1j, 1.005 - 1j], [1 - 1j, 1.0001 - 1j],
+                  [0.3 - 0.5j, 0.31 - 0.5j, 0.3 - 0.51j]):
+        found = sr.find_resonances(sr.RationalModel(poles))
+        assert len(found) == len(poles)
+        for p in poles:
+            assert min(abs(r.zeta - p) for r in found) < 1e-8
+    cands = sr.scan_region(sr.RationalModel([1 - 1j, 1.02 - 1j]), sr.ScanRegion(-6, 6, -6, -0.02))
+    assert len(cands) == 2
 
 
 def _closed_form_poles(model):

@@ -70,7 +70,7 @@ class _RimStub(sr.SMatrixModel):
     def __init__(self, rim):
         self.rim = rim
 
-    def upper_rim_poles(self):
+    def constraint_poles(self):
         return self.rim
 
 
@@ -167,7 +167,7 @@ def test_N_basis_validation(grid):
     (sr.RankOneModel(1.0), "upper_poles", "rim_poles"),
 ])
 def test_N_basis_mode_must_match_sheet_count(grid, model, mode, expected):
-    # the other mode reads an empty pole list and would leave N unconstrained
+    # the mode restates the sheet count, so a mismatch is a caller's error
     with pytest.raises(ValueError, match=expected):
         sr.build_N_basis(model, 16, mode, grid)
 
