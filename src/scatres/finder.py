@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .smatrix import SMatrixModel, _sign_change_roots
+from .smatrix import SMatrixModel
 
 __all__ = [
     "Resonance",
@@ -69,14 +69,14 @@ class ScanRegion:
     def __post_init__(self):
         if not (self.re_max > self.re_min and self.im_max > self.im_min):
             raise ValueError("degenerate scan rectangle")
-        if self.im_min < 0 < self.im_max and self.re_min < 0:
-            raise ValueError("rectangle crosses the cut (-inf, 0]; scan rims separately")
 
     def check_model(self, model: SMatrixModel) -> None:
-        """``ValueError`` unless the model has sheet ``self.sheet`` (1, or 1 and 2)."""
+        """``ValueError`` for a sheet the model lacks, or a two-sheet rectangle across the cut."""
         sheets = list(range(1, model.sheet_count + 1))
         if self.sheet not in sheets:
             raise ValueError(f"sheet must be one of {sheets} for model {model.name}, got {self.sheet}")
+        if model.sheet_count == 2 and self.im_min < 0 < self.im_max and self.re_min < 0:
+            raise ValueError("rectangle crosses the cut (-inf, 0]; scan rims separately")
 
 
 def winding_number(fn, center: complex, half_w: float, half_h: float,
@@ -203,6 +203,56 @@ def rim_scan(model: SMatrixModel, x_min: float, x_max: float, sheet: int,
     return [_classify(model, complex(root), sheet, 0) for root in roots]
 
 
+def _sign_change_roots(f, xs: np.ndarray, vals: np.ndarray) -> list[float]:
+    """Real roots of the array function ``f`` from samples ``vals = f(xs)``, ascending.
+
+    Each exact zero of ``vals`` is a root.  All sign-change brackets between
+    adjacent samples are polished together, one call of ``f`` per step on every
+    open bracket: Newton with the central-difference slope of :func:`refine`
+    from the secant point, until a step is below Brent's tolerance
+    ``tol = 1e-14 + 4 eps |x|``.  A step that leaves its bracket bisects it, and
+    so does a Newton step longer than half the Newton (or secant) step before
+    it while the bracket is wider than ``2 tol``: next to a root of odd
+    multiplicity the slope over ``x +- h`` is dominated by ``h`` and Newton
+    creeps.  A Newton step right after a bisection does not count as
+    converged.  A NaN value raises ``ValueError``, 100 steps without
+    convergence ``RuntimeError``.
+    """
+    zero = np.flatnonzero(vals[:-1] == 0)
+    idx = np.flatnonzero(vals[:-1] * vals[1:] < 0)
+    lo, hi, f_lo = xs[idx], xs[idx + 1], vals[idx]
+    x = lo - f_lo * (hi - lo) / (vals[idx + 1] - f_lo)
+    last = hi - lo  # each bracket's previous step, the secant's first; inf after a bisection
+    live = np.arange(idx.size)
+    for _ in range(100):
+        if not live.size:
+            break
+        xl = x[live]
+        h = 1e-7 * np.maximum(1.0, np.abs(xl))
+        f0, f_plus, f_minus = np.reshape(f(np.concatenate([xl, xl + h, xl - h])), (3, -1))
+        if np.isnan(f0).any():
+            raise ValueError(f"the function value at x={xl[np.isnan(f0)][0]} is NaN; "
+                             "solver cannot continue")
+        keep_lo = np.sign(f0) == np.sign(f_lo[live])
+        left, right = np.where(keep_lo, xl, lo[live]), np.where(keep_lo, hi[live], xl)
+        lo[live], hi[live] = left, right
+        f_lo[live] = np.where(keep_lo, f0, f_lo[live])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_new = xl - f0 * 2 * h / (f_plus - f_minus)
+        tol = 1e-14 + 4 * np.finfo(float).eps * np.abs(xl)
+        prev = last[live]
+        fast = (np.abs(x_new - xl) <= prev / 2) | (right - left <= 2 * tol)
+        newton = (x_new > left) & (x_new < right) & fast
+        x_new = np.where(f0 == 0, xl, np.where(newton, x_new, (left + right) / 2))
+        step = np.abs(x_new - xl)
+        x[live], last[live] = x_new, np.where(newton, step, np.inf)
+        live = live[(step >= tol) | (newton & (prev == np.inf))]
+    if live.size:
+        raise RuntimeError(f"root polishing failed to converge after 100 steps, values {x[live]}")
+    roots = np.concatenate([xs[zero], x])
+    return [float(r) for r in roots[np.argsort(np.concatenate([zero, idx]), kind="stable")]]
+
+
 def _kernel_and_residual(model: SMatrixModel, zeta: complex, sheet: int):
     """Smallest singular pair of the condition matrix at ``zeta``: the unit kernel,
     phased so that its largest entry is real and positive, and the residual."""
@@ -252,7 +302,8 @@ def find_resonances(model: SMatrixModel, regions: list[ScanRegion] | None = None
     ``[-R, R] x [0.02, R]``; two-sheet models are also scanned on
     ``[-max(8, R), -1e-6]`` along the rims of both sheets, or of the sheets
     the user regions name.  Refined poles closer than 1e-8 on one sheet are
-    reported once.
+    reported once.  A candidate centres a cell of winding >= 1, so a failed
+    refinement loses a located pole and raises.
     """
     reach = max(6.0, (1 + np.sqrt(model.scale())) ** 2 + 1)
     rim_sheets = [1, 2] if regions is None else sorted({region.sheet for region in regions})
@@ -262,14 +313,7 @@ def find_resonances(model: SMatrixModel, regions: list[ScanRegion] | None = None
             regions.insert(0, ScanRegion(-reach, reach, 0.02, reach, sheet=1))
     found: list[Resonance] = []
     for region in regions:
-        for cand in scan_region(model, region):
-            try:
-                res = refine(model, cand, region.sheet)
-            except NotImplementedError:
-                raise
-            except RuntimeError:  # Newton failed or left the continuation domain
-                continue
-            found.append(res)
+        found.extend(refine(model, cand, region.sheet) for cand in scan_region(model, region))
     if model.sheet_count == 2:
         for sheet in rim_sheets:
             found.extend(rim_scan(model, -max(_RIM_EXTENT, reach), -1e-6, sheet))

@@ -225,66 +225,11 @@ class RankOneModel(SMatrixModel):
         return [-1j * (1 - root), -1j * (1 + root)]
 
     def constraint_poles(self):
-        # double pole of the form factor at z = -1 on every sheet's rim
-        poles = [(-1.0, 2)]
-        for k in self.eigen_momenta():
-            if k.imag > 1e-14 and abs(k.real) < 1e-14:
-                poles.append((-(k.imag ** 2), 1))
-        return sorted(poles)
+        from .finder import rim_scan  # finder imports smatrix, so a module-level import would be circular
 
-
-# ---------------------------------------------------------------------------
-# real roots from sign changes
-
-
-def _sign_change_roots(f, xs: np.ndarray, vals: np.ndarray) -> list[float]:
-    """Real roots of the array function ``f`` from samples ``vals = f(xs)``, ascending.
-
-    Each exact zero of ``vals`` is a root.  All sign-change brackets between
-    adjacent samples are polished together, one call of ``f`` per step on every
-    open bracket: Newton with the central-difference slope of
-    :func:`scatres.finder.refine` from the secant point, until a step is below
-    Brent's tolerance ``tol = 1e-14 + 4 eps |x|``.  A step that leaves its
-    bracket bisects it, and so does a Newton step longer than half the Newton
-    (or secant) step before it while the bracket is wider than ``2 tol``: next
-    to a root of odd multiplicity the slope over ``x +- h`` is dominated by
-    ``h`` and Newton creeps.  A Newton step right after a bisection does not
-    count as converged.  A NaN value raises ``ValueError``, 100 steps without
-    convergence ``RuntimeError``.
-    """
-    zero = np.flatnonzero(vals[:-1] == 0)
-    idx = np.flatnonzero(vals[:-1] * vals[1:] < 0)
-    lo, hi, f_lo = xs[idx], xs[idx + 1], vals[idx]
-    x = lo - f_lo * (hi - lo) / (vals[idx + 1] - f_lo)
-    last = hi - lo  # each bracket's previous step, the secant's first; inf after a bisection
-    live = np.arange(idx.size)
-    for _ in range(100):
-        if not live.size:
-            break
-        xl = x[live]
-        h = 1e-7 * np.maximum(1.0, np.abs(xl))
-        f0, f_plus, f_minus = np.reshape(f(np.concatenate([xl, xl + h, xl - h])), (3, -1))
-        if np.isnan(f0).any():
-            raise ValueError(f"the function value at x={xl[np.isnan(f0)][0]} is NaN; "
-                             "solver cannot continue")
-        keep_lo = np.sign(f0) == np.sign(f_lo[live])
-        left, right = np.where(keep_lo, xl, lo[live]), np.where(keep_lo, hi[live], xl)
-        lo[live], hi[live] = left, right
-        f_lo[live] = np.where(keep_lo, f0, f_lo[live])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_new = xl - f0 * 2 * h / (f_plus - f_minus)
-        tol = 1e-14 + 4 * np.finfo(float).eps * np.abs(xl)
-        prev = last[live]
-        fast = (np.abs(x_new - xl) <= prev / 2) | (right - left <= 2 * tol)
-        newton = (x_new > left) & (x_new < right) & fast
-        x_new = np.where(f0 == 0, xl, np.where(newton, x_new, (left + right) / 2))
-        step = np.abs(x_new - xl)
-        x[live], last[live] = x_new, np.where(newton, step, np.inf)
-        live = live[(step >= tol) | (newton & (prev == np.inf))]
-    if live.size:
-        raise RuntimeError(f"root polishing failed to converge after 100 steps, values {x[live]}")
-    roots = np.concatenate([xs[zero], x])
-    return [float(r) for r in roots[np.argsort(np.concatenate([zero, idx]), kind="stable")]]
+        # double pole of the form factor at z = -1 on every sheet's rim; bound states lie in [-|a|, 0)
+        bound = rim_scan(self, -abs(self.a), 0.0, 1)
+        return sorted([(-1.0, 2)] + [(r.zeta.real, 1) for r in bound])
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +290,11 @@ class SquareWellModel(SMatrixModel):
     def pole_condition(self, z, sheet: int = 1):
         return jost_F(momentum(z, sheet), self.v0, self.radius)
 
-    def bound_state_momenta(self) -> list[float]:
-        """Zeros of the Jost function on the positive imaginary momentum axis."""
-        def g(kap):
-            return jost_F(1j * kap, self.v0, self.radius).real
-
-        grid = np.linspace(1e-9, np.sqrt(self.v0) * (1 - 1e-12), 800)
-        return _sign_change_roots(g, grid, g(grid))
-
     def constraint_poles(self):
-        return [(-kap**2, 1) for kap in self.bound_state_momenta()]
+        from .finder import rim_scan  # finder imports smatrix, so a module-level import would be circular
+
+        # bound states lie in [-v0, 0); ascending
+        return [(r.zeta.real, 1) for r in rim_scan(self, -self.v0, 0.0, 1)]
 
 
 # ---------------------------------------------------------------------------

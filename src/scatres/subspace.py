@@ -334,7 +334,7 @@ def resolvent_residual(t_basis: SubspaceBasis, f: GridFunction, g: GridFunction,
     u = t_basis.coefs
     f_t = u.conj().T @ cf
     g_t = u.conj().T @ cg
-    bt = u.conj().T @ generator_matrix(t_basis.working_dim) @ u
+    bt = b_matrix(t_basis)
     g_norm = max(float(np.linalg.norm(cg)), 1e-300)
     core = float(np.linalg.norm(bt @ f_t - complex(z) * f_t - g_t)) / g_norm
     off = float(np.linalg.norm(cf - u @ f_t)) * (1 + abs(complex(z))) / g_norm

@@ -210,7 +210,7 @@ def test_criterion_11_decay_law(example1_pipeline):
 
 def test_criterion_12_square_well():
     well = sr.SquareWellModel(10.0, 1.0)
-    closed = well.bound_state_momenta()
+    closed = [np.sqrt(-zeta) for zeta, _ in well.constraint_poles()]
 
     def shoot(kap):
         return sr.jost_F_ode(1j * kap, 10.0, 1.0).real

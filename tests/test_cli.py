@@ -241,6 +241,16 @@ def test_decay_csv_traceclass_scan_failure_exit2(tmp_path):
     assert not (tmp_path / "out" / "decay.csv").exists()
 
 
+def test_resonances_failed_refinement_exit2(tmp_path):
+    # a located candidate whose Newton run fails is a scan failure, not an empty table
+    proc = _cli("resonances", "--model", '{"model": "rational", "poles": [[1, -1], [1, -1], [1, -1]]}',
+                "--out", "out", cwd=tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("scan failed:")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out" / "poles.json").exists()
+
+
 def test_resonances_csv_user_region_scans_its_sheet_only(tmp_path):
     # a sheet-one region needs no sheet-two continuation, so sampled data scan
     _write_trace_csv(tmp_path / "factors.csv", -2.0)

@@ -1,6 +1,7 @@
 """Pole scanning, winding counts, Newton refinement, kernels, audits, exports."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -32,8 +33,24 @@ def test_scan_rankone_upper_sheet1_empty():
 def test_scan_region_validation():
     with pytest.raises(ValueError):
         sr.ScanRegion(1, 0, -1, -0.1)
-    with pytest.raises(ValueError):
-        sr.ScanRegion(-2, 2, -1, 1)  # crosses the cut
+    straddle = sr.ScanRegion(-2, 2, -1, 1)
+    with pytest.raises(ValueError, match="crosses the cut"):
+        straddle.check_model(sr.RankOneModel(1.0))
+    straddle.check_model(sr.example1())  # a one-sheet model has no cut
+
+
+def test_one_sheet_region_straddles_the_axis():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        found = sr.find_resonances(sr.example1(), regions=[sr.ScanRegion(-2.2, 2.8, -2.3, 2.7)])
+    assert [(r.sheet, r.kind) for r in found] == [(1, "antiresonance"), (1, "resonance")]
+    assert abs(found[0].zeta - 1j) < 1e-12 and abs(found[1].zeta - (1 - 1j)) < 1e-12
+
+
+def test_failed_refinement_is_a_named_failure():
+    # a triple zero: its cell has winding 3, and Newton creeps instead of converging
+    with pytest.raises(RuntimeError, match="Newton did not converge"):
+        sr.find_resonances(sr.RationalModel([1 - 1j] * 3))
 
 
 @pytest.mark.parametrize("model, sheet", [(sr.example1(), 2), (sr.example1(), 0),
@@ -155,8 +172,8 @@ def test_find_resonances_squarewell_rims():
     well = sr.SquareWellModel(10.0, 1.0)
     found = sr.find_resonances(well)
     bound = [r for r in found if r.kind == "bound_state"]
-    assert len(bound) == len(well.bound_state_momenta()) == 1
-    assert abs(bound[0].zeta - (-well.bound_state_momenta()[0] ** 2)) < 1e-8
+    assert len(bound) == len(well.constraint_poles()) == 1
+    assert abs(bound[0].zeta - well.constraint_poles()[0][0]) < 1e-8
 
 
 def test_find_resonances_traceclass_off_axis():

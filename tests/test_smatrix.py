@@ -427,14 +427,14 @@ def test_jost_matches_ode_oracle():
 
 def test_jost_bound_states_vs_shooting_oracle():
     well = sr.SquareWellModel(10.0, 1.0)
-    closed = well.bound_state_momenta()
-    assert len(closed) == 1
+    closed = well.constraint_poles()
+    assert len(closed) == 1 and closed[0][1] == 1
 
     def shoot(kap):
         return sr.jost_F_ode(1j * kap, 10.0, 1.0).real
 
     oracle = brentq(shoot, 1.5, 3.0, xtol=1e-12)
-    assert abs(closed[0] - oracle) < 1e-6
+    assert abs(np.sqrt(-closed[0][0]) - oracle) < 1e-6
 
 
 # Batched rim polishing: every bracket of one scan is polished together.
@@ -457,7 +457,7 @@ def test_sign_change_roots_finds_rankone_rim_roots(exponent, sign, sheet):
 @settings(max_examples=12, deadline=None)
 @given(v0=st.floats(0.5, 40), radius=st.floats(0.5, 2))
 def test_sign_change_roots_finds_square_well_bound_states(v0, radius):
-    kaps = sr.SquareWellModel(v0, radius).bound_state_momenta()
+    kaps = sorted(np.sqrt(-zeta) for zeta, _ in sr.SquareWellModel(v0, radius).constraint_poles())
     grid = np.linspace(1e-9, np.sqrt(v0) * (1 - 1e-12), 400)
     shoot = sr.jost_F_ode(1j * grid, v0, radius).real
     brackets = np.flatnonzero(shoot[:-1] * shoot[1:] < 0)
@@ -467,18 +467,48 @@ def test_sign_change_roots_finds_square_well_bound_states(v0, radius):
     assert all(abs(k - o) < 1e-9 for k, o in zip(kaps, oracle))
 
 
+# Constraint poles come from the finder's sheet-1 rim scan; the oracles are closed forms.
+@settings(max_examples=25, deadline=None)
+@given(radius=st.floats(0.3, 3), depth=st.floats(0.05, 14))
+def test_square_well_constraint_poles_are_its_bound_states(radius, depth):
+    v0 = (depth / radius) ** 2  # depth = sqrt(v0) * radius
+    poles = sr.SquareWellModel(v0, radius).constraint_poles()
+    # an s-wave well binds one state per half-period (n - 1/2) pi below sqrt(v0) R
+    assert len(poles) == sum(1 for n in range(1, 6) if (n - 0.5) * np.pi < depth)
+    assert all(g == 1 for _, g in poles)
+    kaps = np.sqrt(-np.array([zeta for zeta, _ in poles]))
+    rim = sr.jost_F_ode(1j * np.concatenate([np.linspace(0, np.sqrt(v0), 33), kaps]), v0, radius)
+    assert np.all(np.abs(rim[33:]) < 1e-8 * np.max(np.abs(rim[:33])))
+
+
+@settings(max_examples=40, deadline=None)
+@given(exponent=st.floats(-3, 6), sign=st.sampled_from([1, -1]))
+@example(exponent=np.log10(1.5), sign=-1)
+@example(exponent=np.log10(24.57), sign=-1)
+@example(exponent=np.log10(3), sign=1)
+def test_rankone_constraint_poles_match_eigen_momenta(exponent, sign):
+    model = sr.RankOneModel(sign * 10**exponent)
+    # upper-rim bound states of the closed form, down to the rim scan's end at -1e-9
+    bound = [-(k.imag ** 2) for k in model.eigen_momenta() if k.imag > 0 and abs(k.real) < 1e-14]
+    expected = sorted([(-1.0, 2)] + [(zeta, 1) for zeta in bound if zeta < -1e-9])
+    poles = model.constraint_poles()
+    assert [g for _, g in poles] == [g for _, g in expected]
+    # the absolute floor is the polisher's stopping tolerance, for states next to threshold
+    assert all(abs(z - e) <= 1e-12 * abs(e) + 1e-14 for (z, _), (e, _) in zip(poles, expected))
+
+
 def test_sign_change_roots_rejects_nan():
     def f(x):
         return np.where(np.abs(x - 0.3) < 0.2, np.nan, x - 0.3)
 
     xs = np.array([-1.0, 1.0])
     with pytest.raises(ValueError, match="NaN"):
-        sr.smatrix._sign_change_roots(f, xs, f(xs))
+        sr.finder._sign_change_roots(f, xs, f(xs))
 
 
 def test_sign_change_roots_takes_exact_zero_samples():
     xs = np.array([-2.0, -1.0, 0.0, 1.5, 3.0])
-    roots = sr.smatrix._sign_change_roots(lambda x: x * x - 2.25, xs, xs * xs - 2.25)
+    roots = sr.finder._sign_change_roots(lambda x: x * x - 2.25, xs, xs * xs - 2.25)
     assert roots == [-1.5, 1.5]
 
 
@@ -487,7 +517,7 @@ def test_sign_change_roots_polishes_odd_multiplicities(p):
     # within h of the root the central-difference slope is O(h^(p-1)): Newton
     # creeps, and only bisection closes the bracket
     xs = np.linspace(-1, 1, 1001)
-    roots = sr.smatrix._sign_change_roots(lambda x: (x - 0.1234567) ** p, xs, (xs - 0.1234567) ** p)
+    roots = sr.finder._sign_change_roots(lambda x: (x - 0.1234567) ** p, xs, (xs - 0.1234567) ** p)
     assert len(roots) == 1 and abs(roots[0] - 0.1234567) < 1e-13
 
 
