@@ -214,7 +214,10 @@ def _sign_change_roots(f, xs: np.ndarray, vals: np.ndarray) -> list[float]:
     so does a Newton step longer than half the Newton (or secant) step before
     it while the bracket is wider than ``2 tol``: next to a root of odd
     multiplicity the slope over ``x +- h`` is dominated by ``h`` and Newton
-    creeps.  A Newton step right after a bisection does not count as
+    creeps.  A Newton step that rounds to nothing while the bracket is wider
+    than ``2 tol`` probes ``f`` once at ``2 tol`` from the iterate toward the
+    far end: a sign change there closes the bracket at the iterate, none
+    bisects.  A Newton step right after a bisection does not count as
     converged.  A NaN value raises ``ValueError``, 100 steps without
     convergence ``RuntimeError``.
     """
@@ -243,7 +246,14 @@ def _sign_change_roots(f, xs: np.ndarray, vals: np.ndarray) -> list[float]:
         prev = last[live]
         fast = (np.abs(x_new - xl) <= prev / 2) | (right - left <= 2 * tol)
         newton = (x_new > left) & (x_new < right) & fast
-        x_new = np.where(f0 == 0, xl, np.where(newton, x_new, (left + right) / 2))
+        # a Newton step that rounds to nothing on a bracket wider than 2 tol: if f
+        # changes sign 2 tol from xl toward the far end, xl is the root; else bisect
+        stuck = np.flatnonzero((x_new == xl) & (f0 != 0) & (right - left > 2 * tol))
+        settled = np.zeros(xl.size, dtype=bool)
+        if stuck.size:
+            probe = xl[stuck] + np.where(keep_lo[stuck], 2, -2) * tol[stuck]
+            settled[stuck] = np.sign(f(probe)) != np.sign(f0[stuck])
+        x_new = np.where((f0 == 0) | settled, xl, np.where(newton, x_new, (left + right) / 2))
         step = np.abs(x_new - xl)
         x[live], last[live] = x_new, np.where(newton, step, np.inf)
         live = live[(step >= tol) | (newton & (prev == np.inf))]

@@ -129,6 +129,24 @@ class SMatrixModel:
             return self.eval(z, 1)
         return self.eval(z, 1 if complex(z).imag >= 0 else 2)
 
+    def circle_coefficients(self, q, n_theta: int) -> np.ndarray:
+        """Circle coefficients ``s_q`` of ``S(lam + i0) = sum_q s_q t^q``, one per entry of ``q``.
+
+        On the unit circle ``t = (lam - i)/(lam + i) = e^{i theta}``.  Here they
+        come from one FFT of ``boundary(lam, '+')`` on the ``n_theta``-point
+        offset circle ``theta_k = 2 pi (k + 1/2)/n_theta``, whose aliasing is
+        anti-periodic.  Near rim poles ``|S|`` reaches 1e11 on that circle, so
+        the samples and the FFT are ``np.clongdouble``; a sample that overflows
+        gives non-finite coefficients, which the caller reports.
+        """
+        q = np.asarray(q)
+        theta = 2 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
+        lam = -1.0 / np.tan(theta / 2)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            s_vals = self.boundary(lam, "+")[:, 0, 0].astype(np.clongdouble)
+            return (np.fft.fft(s_vals, norm="forward")[q % n_theta]
+                    * np.exp(-1j * np.pi * q.astype(np.longdouble) / n_theta))
+
     def constraint_poles(self) -> list[tuple[complex, int]]:
         """Poles of ``S(lam + i0)`` continued into the closed upper half plane, as
         (position, order): the upper-half-plane poles of a one-sheet model, the
@@ -176,6 +194,64 @@ class RationalModel(SMatrixModel):
             if p.imag > 0:
                 out[p] = out.get(p, 0) + 1
         return sorted(out.items(), key=lambda kv: (kv[0].real, kv[0].imag))
+
+    def circle_coefficients(self, q, n_theta: int) -> np.ndarray:
+        """Exact circle coefficients ``s_q``: ``S`` is rational in ``t``, so it is sampled nowhere.
+
+        In ``t`` a factor is ``((i - conj p) + (i + conj p) t)/((i - p) + (i + p) t)``,
+        whose pole ``(p - i)/(p + i)`` lies inside the unit circle for Im p > 0
+        and outside for Im p < 0.  With ``S = P/(Q_in Q_out)`` one square solve
+        ``A Q_out + B Q_in = P`` (``deg A < deg Q_in``) splits
+        ``S = A/Q_in + B/Q_out``.  The Taylor series of ``B/Q_out`` gives the
+        ``s_q`` with q >= 0, that of ``A/Q_in`` in ``1/t`` those with q < 0;
+        both are convergent geometric series, and repeated poles need no
+        special case.  Near the unit circle a repeated pole makes large terms
+        that cancel, so the algebra runs in extended precision: the solve in
+        double with one refinement against the ``np.clongdouble`` residual.
+        ``n_theta`` is unused.
+        """
+        q = np.asarray(q)
+        poles = [np.clongdouble(p) for p in self.poles]
+        upper = [(1j - p, 1j + p) for p in poles if p.imag > 0]
+        lower = [(1j - p, 1j + p) for p in poles if p.imag < 0]
+        num = _poly_in_t([(1j - np.conj(p), 1j + np.conj(p)) for p in poles])
+        q_in, q_out = _poly_in_t(upper), _poly_in_t(lower)
+        # columns: Q_out shifted by each power of A, then Q_in by each power of B
+        j_in, size = len(upper), num.size
+        system = np.zeros((size, size), dtype=np.clongdouble)
+        for k in range(j_in):
+            system[k:k + q_out.size, k] = q_out
+        for k in range(size - j_in):
+            system[k:k + q_in.size, j_in + k] = q_in
+        ab = np.linalg.solve(system.astype(complex), num.astype(complex)).astype(np.clongdouble)
+        ab += np.linalg.solve(system.astype(complex), (num - system @ ab).astype(complex))
+        n_pos, n_neg = int(q.max(initial=0)) + 1, 1 - int(q.min(initial=0))
+        pos = _taylor(ab[j_in:], lower, n_pos)
+        # t^{-J_in} A(t) / (t^{-J_in} Q_in(t)) in u = 1/t: the factors a + b t become b + a u
+        neg = _taylor(np.concatenate([[0], ab[:j_in][::-1]]), [(b, a) for a, b in upper], n_neg)
+        return np.concatenate([neg[:0:-1], pos])[q + n_neg - 1]
+
+
+def _poly_in_t(factors) -> np.ndarray:
+    """``prod(a + b t)`` over the factors ``(a, b)``, increasing powers of t."""
+    poly = np.ones(1, dtype=np.clongdouble)
+    for a, b in factors:
+        poly = np.convolve(poly, [a, b])
+    return poly
+
+
+def _taylor(num: np.ndarray, factors, count: int) -> np.ndarray:
+    """First ``count`` Taylor coefficients at 0 of ``num(t) / prod(a + b t)``, for ``|b| < |a|``.
+
+    Each ``1/(a + b t)`` is the geometric series of ``-b/a`` over ``a``, taken
+    by powers and convolved with the numerator, all in ``np.clongdouble``.
+    """
+    n = np.arange(count)
+    out = np.zeros(count, dtype=np.clongdouble)
+    out[:min(count, num.size)] = num[:count]
+    for a, b in factors:
+        out = np.convolve(out, (-b / a) ** n / a)[:count]
+    return out
 
 
 def example1() -> RationalModel:

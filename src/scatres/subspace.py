@@ -145,14 +145,16 @@ def build_M_and_T(model: SMatrixModel, n_basis: SubspaceBasis,
 
     With ``phi_j <-> e^{ij theta}``, multiplying by ``S`` maps coefficients
     ``c_j`` to ``sum_j s_{k-j} c_j``, a Toeplitz matrix of the circle
-    coefficients ``s_q`` of ``S`` (one FFT on the ``n_theta``-point offset
-    circle).  Rows ``k >= 0`` span M, orthonormalized by a rank-revealing SVD
-    with T the complementary frame; rows ``k < 0`` give the lower-Hardy
-    leakage.  Products stay bounded at rim poles because the N members vanish
-    there, but ``s_q`` carries the full height of those peaks (``|S|`` reaches
-    1e11 on the circle): the FFT and the product run in extended precision,
-    else their double roundoff leaves errors of ``eps*max|S|``, about 1e-10
-    of the largest singular value.  Raises ``FloatingPointError`` when
+    coefficients ``s_q`` of ``S`` (``model.circle_coefficients``: exact for
+    rational models, one FFT on the ``n_theta``-point offset circle for the
+    others, so ``n_theta`` sets the quadrature only for models without exact
+    coefficients).  Rows ``k >= 0`` span M, orthonormalized by a
+    rank-revealing SVD with T the complementary frame; rows ``k < 0`` give the
+    lower-Hardy leakage.  Products stay bounded at rim poles because the N
+    members vanish there, but ``s_q`` carries the full height of those peaks
+    (``|S|`` reaches 1e11 on the circle): the product runs in extended
+    precision, else its double roundoff leaves errors of ``eps*max|S|``, about
+    1e-10 of the largest singular value.  Raises ``FloatingPointError`` when
     ``S*N`` overflows.
     """
     from scipy.linalg import toeplitz
@@ -160,16 +162,12 @@ def build_M_and_T(model: SMatrixModel, n_basis: SubspaceBasis,
     _require_scalar(model)
     if n_basis.role != "N":
         raise ValueError("build_M_and_T expects the constrained basis")
-    theta = 2 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
-    lam = -1.0 / np.tan(theta / 2)
     d_work = n_basis.working_dim
-    # s_q for q = -2(D-1) .. D-1; the offset grid makes the wrap anti-periodic
+    # s_q for q = -2(D-1) .. D-1
     q = np.arange(-2 * (d_work - 1), d_work)
+    s_hat = np.asarray(model.circle_coefficients(q, n_theta), dtype=np.clongdouble)
     # S may overflow on the circle; the non-finite result is reported below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        s_vals = model.boundary(lam, "+")[:, 0, 0].astype(np.clongdouble)
-        s_hat = (np.fft.fft(s_vals, norm="forward")[q % n_theta]
-                 * np.exp(-1j * np.pi * q.astype(np.longdouble) / n_theta))
         # rows k = -(D-1) .. D-1 of the image coefficients
         images = (toeplitz(s_hat[d_work - 1:], s_hat[d_work - 1::-1])
                   @ n_basis.coefs).astype(complex)
@@ -356,7 +354,13 @@ def transition_curve(f: GridFunction, times, mode: str, t_basis: SubspaceBasis |
     Decay mode evolves with the restricted semigroup in the truncation (the
     exact coefficients of the decaying eigenvector, scaled to ``||f||``, are
     used when ``zeta`` tags ``f`` as one); unitary mode evolves the
-    half-line representative obtained through the polar isometry.  When
+    half-line representative obtained through the polar isometry, whose
+    ``m`` samples on ``lam >= 0`` lie on the uniform grid
+    ``lam_k = lam_0 + k h``.  Its phases are factored: with ``k = b i + j`` and
+    ``b = 2^floor(log2(m)/2)``, ``e^{-it lam_k}`` is
+    ``e^{-it(lam_0 + b i h)} e^{-itjh}``, so a curve of T times takes
+    ``T (b + m/b)`` exponentials and one ``(T x b) @ (b x m/b)`` product
+    instead of ``T m`` exponentials.  When
     ``zeta`` is supplied the curve carries ``exp(-t |Im zeta|) ||f||^2`` as the
     reference column.
     """
@@ -389,10 +393,14 @@ def transition_curve(f: GridFunction, times, mode: str, t_basis: SubspaceBasis |
         # the multiplier has modulus one: <rf, e^{-it lam} rf> is a dot of
         # e^{-it lam} with the weights h*|rf|^2, and the norm never changes;
         # rf vanishes on lam < 0, so only the lam >= 0 half enters
-        half = rf.grid.n_points // 2
-        lam = rf.grid.points()[half:]
-        weights = rf.grid.spacing * np.sum(np.abs(rf.samples[half:]) ** 2, axis=1)
-        overlaps = [complex(np.dot(np.exp(-1j * t * lam), weights)) for t in times]
+        half, h = rf.grid.n_points // 2, rf.grid.spacing
+        weights = h * np.sum(np.abs(rf.samples[half:]) ** 2, axis=1)
+        # lam_k = lam_0 + k h, and b divides the power-of-two count m: with
+        # k = b i + j, e^{-it lam_k} = e^{-it(lam_0 + b i h)} e^{-itjh}
+        b = 1 << (weights.size.bit_length() - 1) // 2
+        inner = np.exp(-1j * np.outer(times, h * np.arange(b)))
+        outer = np.exp(-1j * np.outer(times, -rf.grid.half_extent + h * (half + b * np.arange(weights.size // b))))
+        overlaps = np.einsum("ti,ti->t", outer, inner @ weights.reshape(-1, b).T)
         fnorm2 = norm(rf) ** 2
         norms = np.full(times.shape, np.sqrt(fnorm2))
     else:

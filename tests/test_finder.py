@@ -82,6 +82,23 @@ def test_rim_scan_bound_state():
     assert abs(found[0].zeta - (-(3 - 2 * SQ2))) < 1e-10
 
 
+
+def test_rim_scan_polishes_a_rounded_newton_step_without_bisecting():
+    # the third iterate is the lower-rim root to rounding: its Newton step rounds
+    # to nothing, and one probe 2 tol further closes the bracket
+    class Counting(sr.RankOneModel):
+        calls = 0
+
+        def pole_condition(self, z, sheet=1):
+            Counting.calls += 1
+            return super().pole_condition(z, sheet)
+
+    found = sr.rim_scan(Counting(-0.3), -8.0, -1e-6, sheet=2)
+    assert Counting.calls <= 10
+    expected = sorted(-(1 + s * np.sqrt(0.3)) ** 2 for s in (1, -1))
+    assert len(found) == 2
+    assert all(abs(r.zeta - e) <= 4e-15 * abs(e) for r, e in zip(found, expected))
+
 def test_conjugate_pair_audit():
     ex1 = sr.example1()
     report = sr.conjugate_pair_audit(sr.find_resonances(ex1), ex1)

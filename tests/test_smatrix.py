@@ -521,6 +521,21 @@ def test_sign_change_roots_polishes_odd_multiplicities(p):
     assert len(roots) == 1 and abs(roots[0] - 0.1234567) < 1e-13
 
 
+
+# 0-4 poles in either half plane, one of them sometimes repeated
+_CIRCLE_POLES = st.lists(st.tuples(st.floats(-3, 3), st.floats(0.2, 3), st.booleans()),
+                         max_size=4).map(lambda ps: [complex(re, im if up else -im) for re, im, up in ps])
+
+
+@settings(max_examples=40, deadline=None)
+@given(poles=_CIRCLE_POLES, repeat=st.booleans())
+def test_rational_circle_coefficients_match_the_fft(poles, repeat):
+    model = sr.RationalModel(poles + poles[:1] if repeat else poles)
+    q = np.arange(-126, 64)
+    exact = model.circle_coefficients(q, 2**16)
+    fft = sr.SMatrixModel.circle_coefficients(model, q, 2**16)
+    assert np.abs(exact - fft).max() <= 1e-13
+
 def test_squarewell_unitarity_and_validation():
     well = sr.SquareWellModel(10.0, 1.0)
     lams = np.logspace(-3, 3, 200)

@@ -1,6 +1,8 @@
 """Constrained subspaces, the admissible complement, restricted evolution,
 resolvent construction, and survival curves."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -154,6 +156,18 @@ def test_M_and_T_matches_circle_reference(grid, poles, k, n, use_rankone):
     s = np.array(mb.diagnostics["singular_values"])
     assert np.abs(s - s_ref).max() <= 1e-10 * s_ref[0]
 
+
+
+def test_rational_M_and_T_never_sample_S(grid, monkeypatch):
+    model = sr.RationalModel([1j, 1 - 1j, 0.5 + 0.3j, 0.5 + 0.3j])
+
+    def refuse(lam, side="+"):
+        raise AssertionError("a rational S is sampled on the circle")
+
+    nb = sr.build_N_basis(model, 16, "upper_poles", grid)
+    monkeypatch.setattr(model, "boundary", refuse)
+    mb, tb = sr.build_M_and_T(model, nb)
+    assert mb.dim + tb.dim == nb.working_dim and tb.dim == 3
 
 def test_N_basis_validation(grid):
     with pytest.raises(ValueError):
@@ -371,6 +385,20 @@ def test_transition_curve_unitary_mode(ex1_bases, grid):
     decay = sr.transition_curve(e, times, "decay", t_basis=tb, zeta=ZETA)
     assert abs(curve.overlaps[-1]) != pytest.approx(abs(decay.overlaps[-1]), rel=1e-3)
 
+
+
+@pytest.mark.parametrize("n, half_extent", [(2**14, 400.0), (2**10, 50.0), (2**15, 1600.0)])
+def test_transition_curve_unitary_phases_factor_exactly(n, half_extent):
+    grid = sr.make_grid(n, half_extent)
+    e = sr.gamov(ZETA, 1.0, grid)
+    e = e * (1 / sr.norm(e))
+    times = [0.0, 0.013, 1.7, 2.9]
+    # an identity "isometry": the curve is the phase sum of e's own lam >= 0 half
+    curve = sr.transition_curve(e, times, "unitary", isometry=SimpleNamespace(forward=lambda f: f))
+    lam = grid.points()[n // 2:]
+    weights = grid.spacing * np.abs(e.samples[n // 2:, 0]) ** 2
+    direct = [np.dot(np.exp(-1j * t * lam), weights) for t in times]
+    assert np.abs(curve.overlaps - direct).max() <= 1e-14
 
 def test_transition_curve_validation(ex1_bases, grid):
     _, _, _, tb = ex1_bases
