@@ -6,6 +6,7 @@ isometry onto the half line, and closed-form truncation matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -162,6 +163,36 @@ class IsometryPair:
         return [GridFunction(self.grid, cols[:, i]) for i in range(self.rank)]
 
 
+@lru_cache(maxsize=8)
+def _half_line_store(grid: Grid) -> list:
+    return [None]
+
+
+def _half_line_factors(grid: Grid, count: int) -> tuple:
+    """``((h, tau), R)`` of each half line's first ``count`` basis columns.
+
+    Both are prefixes of the grid's widest factorization so far: reflector k
+    leaves rows < k alone, so the first ``count`` reflectors and the leading
+    ``count x count`` block of R factor the first ``count`` columns.  With one
+    BLAS thread a prefix is bit-identical to a fresh narrower factorization;
+    with more, OpenBLAS splits each reflector update by the number of columns,
+    which can move the last bit.  A larger count refactors both halves at that
+    width; the stored arrays are read-only.
+    """
+    from scipy.linalg import qr
+
+    store = _half_line_store(grid)
+    if store[0] is None or store[0][0][1].shape[1] < count:  # R- is width x width
+        half = grid.n_points // 2
+        phi = _phi_matrix(grid, count)  # cached and read-only: geqrf copies it
+        store[0] = tuple(qr(block, mode="raw", check_finite=False)
+                         for block in (phi[:half], phi[half:]))
+        for (h, tau), r in store[0]:
+            for a in (h, tau, r):
+                a.flags.writeable = False
+    return tuple(((h[:, :count], tau[:count]), r[:count, :count]) for (h, tau), r in store[0])
+
+
 def build_polar_isometry(grid: Grid, rank_budget: int = 48) -> IsometryPair:
     """SVD polar factor of the half-line-projected Hardy basis, by a two-block QR.
 
@@ -174,9 +205,11 @@ def build_polar_isometry(grid: Grid, rank_budget: int = 48) -> IsometryPair:
     is ``w = [0; Q+ U V^H]`` with singular values below ``_ISOMETRY_CUTOFF * sigma_max``
     dropped.  ``Q-`` and ``Q+`` stay as the reflectors ``geqrf`` returns and
     only r x r blocks are formed besides: no explicit Q, ``q`` or ``w`` and no
-    n x r product (see :class:`IsometryPair`).  The work is the two n/2 x r
-    factorizations; on the default grid (2^14 points) one call takes about
-    41, 48 and 74 ms at r = 32, 40, 48 (one BLAS thread, 2-vCPU x86-64 host).
+    n x r product (see :class:`IsometryPair`).  The two half-line
+    factorizations are kept per grid at the widest budget asked so far, and
+    every budget takes their leading r reflectors and r x r triangle, which
+    are exactly the factorization of the first r columns.  So a call with a
+    budget no wider than the store costs only the 2r x r QR and the r x r SVD.
     Householder QR also copes with a rank-deficient basis on coarse grids.
     The same matrices act on every multiplicity component.
     """
@@ -184,10 +217,7 @@ def build_polar_isometry(grid: Grid, rank_budget: int = 48) -> IsometryPair:
 
     if rank_budget < 1 or rank_budget > grid.n_points // 2:
         raise ValueError("rank_budget out of range")
-    half = grid.n_points // 2
-    phi = _phi_matrix(grid, rank_budget)  # cached and read-only: geqrf copies it
-    minus, r_minus = qr(phi[:half], mode="raw", check_finite=False)
-    plus, r_plus = qr(phi[half:], mode="raw", check_finite=False)
+    (minus, r_minus), (plus, r_plus) = _half_line_factors(grid, rank_budget)
     z, _ = qr(np.vstack([r_minus, r_plus]), mode="economic", check_finite=False)
     u, s, vh = np.linalg.svd(z[rank_budget:])
     keep = s >= _ISOMETRY_CUTOFF * s[0]
@@ -231,11 +261,10 @@ def semigroup_matrix(t: float, dim: int) -> np.ndarray:
     """
     if t < 0:
         raise ValueError("semigroup_matrix requires t >= 0")
-    v = np.exp(-t) * _laguerre_diff(dim, 2 * t)
-    mat = np.zeros((dim, dim))
-    for k in range(dim):
-        mat[k, k:] = v[: dim - k]
-    return mat
+    # entry (j, k) is v[k - j] behind dim - 1 leading zeros: zero below the diagonal
+    v = np.concatenate([np.zeros(dim - 1), np.exp(-t) * _laguerre_diff(dim, 2 * t)])
+    k = np.arange(dim)
+    return v[k[None, :] - k[:, None] + dim - 1]
 
 
 def generator_matrix(dim: int) -> np.ndarray:

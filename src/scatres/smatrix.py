@@ -136,14 +136,18 @@ class SMatrixModel:
         come from one FFT of ``boundary(lam, '+')`` on the ``n_theta``-point
         offset circle ``theta_k = 2 pi (k + 1/2)/n_theta``, whose aliasing is
         anti-periodic.  Near rim poles ``|S|`` reaches 1e11 on that circle, so
-        the samples and the FFT are ``np.clongdouble``; a sample that overflows
-        gives non-finite coefficients, which the caller reports.
+        the samples and the FFT are ``np.clongdouble``.  A sample that
+        overflows would make every coefficient non-finite, so then all are NaN
+        and no FFT is taken (extended-precision arithmetic on NaN is slow); the
+        caller reports it.
         """
         q = np.asarray(q)
         theta = 2 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
         lam = -1.0 / np.tan(theta / 2)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             s_vals = self.boundary(lam, "+")[:, 0, 0].astype(np.clongdouble)
+            if not np.all(np.isfinite(s_vals)):
+                return np.full(q.shape, np.nan, dtype=np.clongdouble)
             return (np.fft.fft(s_vals, norm="forward")[q % n_theta]
                     * np.exp(-1j * np.pi * q.astype(np.longdouble) / n_theta))
 

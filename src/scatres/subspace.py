@@ -166,7 +166,12 @@ def build_M_and_T(model: SMatrixModel, n_basis: SubspaceBasis,
     # s_q for q = -2(D-1) .. D-1
     q = np.arange(-2 * (d_work - 1), d_work)
     s_hat = np.asarray(model.circle_coefficients(q, n_theta), dtype=np.clongdouble)
-    # S may overflow on the circle; the non-finite result is reported below
+    overflow = FloatingPointError(f"model {model.name}: S·N overflows on the circle, so its "
+                                  "singular values and Hardy leakage are not finite")
+    # every s_q enters the product, so one non-finite s_q makes S·N non-finite
+    if not np.all(np.isfinite(s_hat)):
+        raise overflow
+    # a finite product may still overflow when cast to double; reported below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # rows k = -(D-1) .. D-1 of the image coefficients
         images = (toeplitz(s_hat[d_work - 1:], s_hat[d_work - 1::-1])
@@ -175,8 +180,7 @@ def build_M_and_T(model: SMatrixModel, n_basis: SubspaceBasis,
         leakage = (np.linalg.norm(images[:d_work - 1], axis=0)
                    / np.maximum(np.linalg.norm(m_cols, axis=0), 1e-300))
     if not (np.all(np.isfinite(m_cols)) and np.all(np.isfinite(leakage))):
-        raise FloatingPointError(f"model {model.name}: S·N overflows on the circle, so its "
-                                 "singular values and Hardy leakage are not finite")
+        raise overflow
 
     u, s, _ = np.linalg.svd(m_cols, full_matrices=True)
     rank = int(np.sum(s >= _RANK_CUTOFF * s[0])) if s.size else 0

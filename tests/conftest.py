@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -43,3 +47,12 @@ def rational_sum(grid, poles, weights=None):
     lam = grid.points()
     weights = weights or [1.0] * len(poles)
     return sr.grid_function(grid, sum(w / (lam - p) for w, p in zip(weights, poles)))
+
+
+def run_python(*args, cwd=None, **env):
+    """Run a fresh interpreter that imports this checkout of scatres, with extra ``env``."""
+    src = os.path.dirname(os.path.dirname(sr.__file__))
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=cwd, timeout=300)

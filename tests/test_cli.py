@@ -1,15 +1,13 @@
 """Command-line contract: files, exit codes, determinism."""
 
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import scatres
+from conftest import run_python as _python
 from scatres import verify
 from scatres.cli import main
 
@@ -156,15 +154,6 @@ def test_decay_curve_off_reference_exit2(runner, tmp_path, model):
     assert result.exit_code == 2, result.output
     assert "error: decay curve departs from exp(-t |Im zeta|)" in result.output
     assert not (tmp_path / "decay.csv").exists()
-
-
-def _python(*args, cwd=None):
-    """Run a fresh interpreter that imports this checkout of scatres."""
-    src = os.path.dirname(os.path.dirname(scatres.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=env, cwd=cwd, timeout=300)
 
 
 def _cli(*args, cwd=None):

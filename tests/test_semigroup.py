@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import scatres as sr
-from conftest import rational_sum
+from conftest import rational_sum, run_python
 from scatres.hardy import _phi_matrix
+from scatres.semigroup import _half_line_store
 
 ZETA = 1 - 1j
 
@@ -219,15 +220,84 @@ def test_polar_isometry_rank_deficient_basis(budget):
     assert not w[: g.n_points // 2].any()
 
 
+def _stored_factors(grid):
+    """The grid's stored half-line reflectors, scalar factors and triangles."""
+    return [a for (h, tau), r in _half_line_store(grid)[0] for a in (h, tau, r)]
+
+
 def test_polar_isometry_leaves_cached_basis_unchanged():
     # the basis matrix is cached and shared, so the factorization must copy it
     g = sr.make_grid(2**10, 50.0)
     phi = _phi_matrix(g, 40)
     before = phi.copy()
-    sr.build_polar_isometry(g, rank_budget=40)
+    iso = sr.build_polar_isometry(g, rank_budget=40)
     again = _phi_matrix(g, 40)
     assert np.shares_memory(again, phi)
     assert np.array_equal(again, before)
+    # the reflectors are shared by every budget; zunmqr writes into their
+    # diagonal while it applies them and must restore it
+    stored = [a.copy() for a in _stored_factors(g)]
+    f = rational_sum(g, [ZETA, -1 - 2j])
+    iso.forward(f)
+    iso.adjoint(f)
+    sr.transfer_apply(iso, f, 1.0)
+    assert all(np.array_equal(a, b) for a, b in zip(_stored_factors(g), stored))
+
+
+@pytest.mark.parametrize("n, half_extent", [(2**14, 400.0), (2**10, 50.0)])
+def test_polar_isometry_budgets_share_the_grid_factorization(n, half_extent):
+    g = sr.make_grid(n, half_extent)
+    _half_line_store.cache_clear()
+    sr.build_polar_isometry(g, rank_budget=48)
+    h_minus, _, _, h_plus, _, _ = _stored_factors(g)
+    for budget in (32, 40):
+        iso = sr.build_polar_isometry(g, rank_budget=budget)
+        assert np.shares_memory(iso._minus[0], h_minus)
+        assert np.shares_memory(iso._plus[0], h_plus)
+    # a wider budget widens the store; an isometry built before keeps its factors
+    _half_line_store.cache_clear()
+    narrow = sr.build_polar_isometry(g, rank_budget=32)
+    minus = narrow._minus[0].copy()
+    sr.build_polar_isometry(g, rank_budget=48)
+    assert _stored_factors(g)[0].shape[1] == 48
+    assert np.array_equal(narrow._minus[0], minus)
+
+
+# Budgets built in this order on one grid, then each rebuilt on an empty store.
+# Bit-identity needs one BLAS thread: with more, OpenBLAS splits the trailing
+# columns of each reflector update between threads by their count, which can
+# move the last bit of the narrower factorization.
+_PREFIX_CHECK = """
+import numpy as np
+import scatres as sr
+from scatres.semigroup import _half_line_store
+
+cases = [((2**14, 400.0), (48, 32, 40)), ((2**10, 50.0), (48, 32, 40)),
+         ((2**14, 400.0), (32, 48)), ((2**8, 400.0), (48, 128, 48))]
+
+
+def build(g, budget):
+    iso = sr.build_polar_isometry(g, rank_budget=budget)
+    e = sr.grid_function(g, 1 / (g.points() - (1 - 1j)))
+    return iso.singular_values, iso.forward(e).samples
+
+
+for grid_args, budgets in cases:
+    g = sr.make_grid(*grid_args)
+    _half_line_store.cache_clear()
+    shared = [build(g, budget) for budget in budgets]
+    for budget, (s, fw) in zip(budgets, shared):
+        _half_line_store.cache_clear()
+        s_ref, fw_ref = build(g, budget)
+        if not (np.array_equal(s, s_ref) and np.array_equal(fw, fw_ref)):
+            print("differs:", grid_args, budgets, budget)
+"""
+
+
+def test_polar_isometry_budgets_are_prefixes_bit_for_bit():
+    out = run_python("-c", _PREFIX_CHECK, OPENBLAS_NUM_THREADS="1")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "", out.stdout
 
 
 def test_polar_isometry_validation(grid):

@@ -169,6 +169,24 @@ def test_rational_M_and_T_never_sample_S(grid, monkeypatch):
     mb, tb = sr.build_M_and_T(model, nb)
     assert mb.dim + tb.dim == nb.working_dim and tb.dim == 3
 
+
+def test_overflowing_S_raises_before_fft_and_product(grid, monkeypatch):
+    # S of this weak well overflows on the circle: every coefficient is then
+    # NaN, and neither the extended-precision FFT nor the Toeplitz product runs
+    import scipy.linalg
+
+    model = sr.SquareWellModel(0.2211524855348381, 1.9838212674034716)
+    nb = sr.build_N_basis(model, 12, "rim_poles", grid)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("non-finite circle samples reached the FFT or the product")
+
+    monkeypatch.setattr(np.fft, "fft", refuse)
+    monkeypatch.setattr(scipy.linalg, "toeplitz", refuse)
+    assert np.isnan(model.circle_coefficients(np.arange(-4, 4), 2**16)).all()
+    with pytest.raises(FloatingPointError, match="S·N overflows"):
+        sr.build_M_and_T(model, nb)
+
 def test_N_basis_validation(grid):
     with pytest.raises(ValueError):
         sr.build_N_basis(sr.example1(), 0, "upper_poles", grid)
