@@ -87,8 +87,10 @@ def _parse_times(text):
     if len(parts) != 3:
         raise click.UsageError("--times expects t0:t1:dt")
     t0, t1, dt = (float(p) for p in parts)
-    if dt <= 0 or t1 < t0:
-        raise click.UsageError("--times needs t1 >= t0 and dt > 0")
+    if not np.all(np.isfinite([t0, t1, dt])):
+        raise click.UsageError("--times needs finite t0, t1 and dt")
+    if dt <= 0 or not 0 <= t0 <= t1:
+        raise click.UsageError("--times needs 0 <= t0 <= t1 and dt > 0")
     n = int(round((t1 - t0) / dt))
     return [t0 + i * dt for i in range(n + 1)]
 

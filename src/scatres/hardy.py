@@ -5,9 +5,10 @@ orthonormal basis of the upper Hardy class, sampled once per grid.
 The Fourier convention is ``(Ff)(lam) = (2*pi)**-0.5 * int e^{-i*lam*x} f(x) dx``,
 so boundary functions of the upper half plane have inverse transforms supported
 on the negative half axis.  Functions that decay like ``1/lam`` have x-images
-that jump at ``x = 0``; the "matched" projection mode and :func:`cauchy_eval`
-repair the resulting window/alias artifacts with closed-form tail integrals
-(sine integrals for the transform side, cotangent sums for the alias side).
+that jump at ``x = 0``, so the masked Hardy projection is an exact projector
+but not value-accurate on them; :func:`cauchy_eval` adds the closed-form
+integral of a fitted ``A/lam + B/lam^2`` tail beyond the window.  Accurate
+work in the Hardy class runs on the coefficients of the rational basis.
 """
 
 from __future__ import annotations
@@ -166,19 +167,17 @@ def project_half_line(f: GridFunction, sign: str) -> GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# tail model and window/alias corrections (shared by the matched projections,
-# cauchy_eval and the semigroup module)
+# tail model of cauchy_eval
 
 
 class _TailCache:
-    """Per-grid precomputation for 1/lam tail handling."""
+    """Per-grid least-squares fit of the ``1/lam`` tail over wide edge bands."""
 
     def __init__(self, grid: Grid):
         n, L = grid.n_points, grid.half_extent
         lam = grid.points()
         self.grid = grid
         self.lam = lam
-        self.i0 = n // 2
         # wide symmetric fit bands, away from the outermost samples
         band = np.unique(np.linspace(max(1, n // 100), n // 5, 24).astype(int))
         self.idx = np.r_[band, n - 1 - band]
@@ -186,12 +185,6 @@ class _TailCache:
             [np.ones(self.idx.size), L / lam[self.idx], (L / lam[self.idx]) ** 2], axis=1
         )
         self.pinv = np.linalg.pinv(basis)
-        dual = grid.dual()
-        self.x = dual.points()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cot = np.pi / (2 * L) / np.tan(np.pi * lam / (2 * L)) - 1 / lam
-        cot[self.i0] = 0.0
-        self.alias_cot = cot[:, None]
 
     def fit(self, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fit lam*f ~ c0 + c1*(L/lam) + c2*(L/lam)^2 per component."""
@@ -200,71 +193,23 @@ class _TailCache:
         c = self.pinv @ y
         return c[0], c[1] * L, c[2] * L**2  # coefficients of f ~ A/lam + B/lam^2 + C/lam^3
 
-    def window_deficit(self, A: np.ndarray, B: np.ndarray, shift: float) -> np.ndarray:
-        """Closed form of the missing |lam| > L part of the inverse transform."""
-        from scipy.special import sici
-
-        L = self.grid.half_extent
-        x = self.x - shift
-        ax = np.abs(x)
-        s, _ = sici(L * ax)
-        res = np.pi / 2 - s
-        i1 = (2j * np.sign(x) * res)[:, None]
-        i2 = (2 * (np.cos(L * x) / L - ax * res))[:, None]
-        return (A[None, :] * i1 + B[None, :] * i2) / np.sqrt(2 * np.pi)
-
 
 @lru_cache(maxsize=8)
 def _tail_cache(grid: Grid) -> _TailCache:
     return _TailCache(grid)
 
 
-def _matched_cut(f: GridFunction, sign: str, shift: float = 0.0) -> GridFunction:
-    """Half-line cut of the x-image with tail deficit and alias repair.
+def project_hardy(f: GridFunction, sign: str) -> GridFunction:
+    """Hardy-class projection ``Q_pm = F P_mp F^{-1}`` by masking the x-image.
 
-    Used by the semigroup and by ``project_hardy(..., mode='matched')``; not an
-    exact projector algebraically, but reproduces continuum values of the Hardy
-    projections on decaying analytic inputs to ~1e-4 instead of ~1e-1.
-    """
-    tc = _tail_cache(f.grid)
-    A, B, _ = tc.fit(f.samples)
-    u = f.samples if shift == 0.0 else np.exp(-1j * shift * tc.lam)[:, None] * f.samples
-    h = fourier(GridFunction(f.grid, u), "inverse").samples
-    h = h + tc.window_deficit(A, B, shift)
-    i0 = tc.i0
-    out = np.zeros_like(h)
-    if sign == "+":
-        out[:i0] = h[:i0]
-        left = 4 * h[i0 - 1] - 6 * h[i0 - 2] + 4 * h[i0 - 3] - h[i0 - 4]
-        out[i0] = left / 2
-        a_out = 1j * left / np.sqrt(2 * np.pi)
-    elif sign == "-":
-        out[i0 + 1 :] = h[i0 + 1 :]
-        right = 4 * h[i0 + 1] - 6 * h[i0 + 2] + 4 * h[i0 + 3] - h[i0 + 4]
-        out[i0] = right / 2
-        a_out = -1j * right / np.sqrt(2 * np.pi)
-    else:
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    g = fourier(GridFunction(f.grid.dual(), out), "forward").samples
-    g = g - a_out[None, :] * tc.alias_cot
-    return GridFunction(f.grid, g)
-
-
-def project_hardy(f: GridFunction, sign: str, mode: str = "plain") -> GridFunction:
-    """Hardy-class projection ``Q_pm = F P_mp F^{-1}``.
-
-    ``mode='plain'`` is the bare mask pipeline: exactly idempotent,
-    complementary and contractive, but loses ~``sqrt(spacing)`` accuracy on
-    functions with 1/lam tails.  ``mode='matched'`` repairs the window/alias
-    artifacts of such tails and reproduces continuum values on decaying
-    analytic inputs; it is what the semigroup evolution uses internally.
+    Exactly idempotent, complementary and contractive, but the x-image of a
+    function with a ``1/lam`` tail jumps at ``x = 0``, and the masked result
+    is then off by about ``sqrt(spacing)`` relative to the continuum one.  Values of Hardy-class functions off the
+    axis come from :func:`cauchy_eval`; the semigroups act on rational-basis
+    coefficients (:mod:`scatres.semigroup`).
     """
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    if mode == "matched":
-        return _matched_cut(f, sign)
-    if mode != "plain":
-        raise ValueError(f"mode must be 'plain' or 'matched', got {mode!r}")
     h = fourier(f, "inverse")
     h = project_half_line(h, "-" if sign == "+" else "+")
     return fourier(h, "forward")

@@ -1,6 +1,7 @@
 """Shift semigroup on the upper Hardy class, its compressed adjoint (the
-characteristic semigroup), the generator's tail offset, the polar-decomposition
-isometry onto the half line, and closed-form truncation matrices.
+characteristic semigroup) and the generator's offset on rational-basis
+coefficients, the polar-decomposition isometry onto the half line, and the
+closed-form truncation matrices behind them.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ import numpy as np
 from .hardy import (
     Grid,
     GridFunction,
-    _matched_cut,
     _phi_matrix,
-    _tail_cache,
-    norm,
+    mt_coefficients_grid,
+    mt_synthesize,
 )
 
 __all__ = [
@@ -31,62 +31,55 @@ __all__ = [
     "generator_matrix",
 ]
 
-_OFFSET_TOL = 5e-2  # largest wrong-side residual of generator_offset
 _ISOMETRY_CUTOFF = 1e-8  # relative floor of the retained singular values
+
+
+def _require_time(t: float) -> None:
+    """Reject a time that is negative or not finite (NaN passes every ``t < 0``)."""
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError(f"the semigroups need a finite time t >= 0, got {t}")
 
 
 def apply_T(f: GridFunction, t: float) -> GridFunction:
     """Outgoing shift semigroup: multiplication by ``e^{i*t*lam}``, t >= 0."""
-    if t < 0:
-        raise ValueError("apply_T requires t >= 0")
+    _require_time(t)
     lam = f.grid.points()
     return GridFunction(f.grid, np.exp(1j * t * lam)[:, None] * f.samples)
 
 
-def apply_C(f: GridFunction, t: float) -> GridFunction:
-    """Characteristic semigroup: compress ``e^{-i*t*lam}`` back to the Hardy class.
+def apply_C(coefs: np.ndarray, t: float) -> np.ndarray:
+    """Characteristic semigroup on rational-basis coefficients, shape (D,) or (D, m).
 
-    Computed as multiply-then-project where the projection repairs the window
-    and alias artifacts of 1/lam tails (the multiplier shifts the x-image by t,
-    so the repair is evaluated at shifted argument).  Contractive on Hardy-class
-    inputs and exact on the rational eigenvectors ``k/(lam - zeta)`` up to the
-    grid's tail-fit residual.
+    ``C(t)`` compresses multiplication by ``e^{-i*t*lam}`` back to the upper
+    Hardy class; on the basis it is :func:`semigroup_matrix`, so the result is
+    the coefficients of ``C(t) f`` in the same truncation.  Contractive, exact
+    in the semigroup law, and exact on the eigenvectors ``k/(lam - zeta)`` up
+    to their truncation tail ``|(zeta + i)/(zeta - i)|^D``.
     """
-    if t < 0:
-        raise ValueError("apply_C requires t >= 0")
-    return _matched_cut(f, "+", shift=float(t))
+    c = np.asarray(coefs, dtype=complex)
+    return semigroup_matrix(t, c.shape[0]) @ c
 
 
 @dataclass
 class GeneratorSample:
-    """A point of the generator graph: image(lam) = lam*f(lam) + offset."""
+    """A point of the generator graph, in coefficients: image = lam*f + offset."""
 
-    input: GridFunction
+    input: np.ndarray
     offset: np.ndarray
-    image: GridFunction
-    residual: float
+    image: np.ndarray
 
 
-def generator_offset(f: GridFunction) -> GeneratorSample:
-    """Recover the multiplicity-space offset that puts ``lam*f + k0`` in the Hardy class.
+def generator_offset(coefs: np.ndarray) -> GeneratorSample:
+    """The multiplicity-space offset ``k0`` that puts ``lam*f + k0`` in the Hardy class.
 
-    The offset is the negative of the constant term in the tail expansion
-    ``lam*f ~ c0 + c1/lam + ...`` (least squares over the edge bands); the
-    residual is the fraction of the image's x-side energy on the wrong half
-    axis, measured after tail repair.
+    Each ``phi_j`` tends to ``1/(sqrt(pi) lam)``, so ``lam*f`` tends to
+    ``sum_j c_j / sqrt(pi)`` and ``k0`` is its negative.  The image
+    ``lam*f + k0`` has the coefficients ``generator_matrix(D) @ coefs``.
+    Coefficients in, coefficients out; shape (D,) or (D, m).
     """
-    tc = _tail_cache(f.grid)
-    c0, _, _ = tc.fit(f.samples)
-    k0 = -c0
-    lam = f.grid.points()
-    image = GridFunction(f.grid, lam[:, None] * f.samples + k0[None, :])
-    wrong = _matched_cut(image, "-")
-    residual = norm(wrong) / max(norm(image), 1e-300)
-    if residual > _OFFSET_TOL:
-        raise RuntimeError(
-            f"generator offset did not converge: wrong-side residual {residual:.3e}"
-        )
-    return GeneratorSample(input=f, offset=k0, image=image, residual=residual)
+    c = np.asarray(coefs, dtype=complex)
+    return GeneratorSample(input=c, offset=-c.sum(0) / np.sqrt(np.pi),
+                           image=generator_matrix(c.shape[0]) @ c)
 
 
 def _zunmqr(factor: tuple, trans: str, c: np.ndarray, overwrite: bool) -> np.ndarray:
@@ -230,8 +223,15 @@ def build_polar_isometry(grid: Grid, rank_budget: int = 48) -> IsometryPair:
 
 
 def transfer_apply(iso: IsometryPair, f: GridFunction, t: float) -> GridFunction:
-    """Conjugate the characteristic semigroup by the isometry: ``R o C(t) o R*``."""
-    return iso.forward(apply_C(iso.adjoint(f), t))
+    """Conjugate the characteristic semigroup by the isometry: ``R o C(t) o R*``.
+
+    Grid samples in and out.  ``R* f`` lies in the span of the isometry's
+    ``rank_budget`` basis columns, so :func:`mt_coefficients_grid` recovers
+    its coefficients (to the conditioning of the grid's basis Gram);
+    :func:`apply_C` evolves them and ``R`` maps the synthesized result back.
+    """
+    coefs = mt_coefficients_grid(iso.adjoint(f), iso._z.shape[1])
+    return iso.forward(mt_synthesize(apply_C(coefs, t), iso.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +259,7 @@ def semigroup_matrix(t: float, dim: int) -> np.ndarray:
     generating-function structure makes the semigroup law exact order by order
     and the spectral norm is at most one.
     """
-    if t < 0:
-        raise ValueError("semigroup_matrix requires t >= 0")
+    _require_time(t)
     # entry (j, k) is v[k - j] behind dim - 1 leading zeros: zero below the diagonal
     v = np.concatenate([np.zeros(dim - 1), np.exp(-t) * _laguerre_diff(dim, 2 * t)])
     k = np.arange(dim)

@@ -24,7 +24,7 @@ from .hardy import (
     mt_synthesize,
     norm,
 )
-from .semigroup import generator_matrix, semigroup_matrix
+from .semigroup import _require_time, generator_matrix, semigroup_matrix
 from .smatrix import SMatrixModel
 
 __all__ = [
@@ -260,8 +260,7 @@ def restricted_apply(t_basis: SubspaceBasis, f: GridFunction, t: float) -> GridF
     law to machine precision; inputs essentially orthogonal to the subspace
     are rejected.
     """
-    if t < 0:
-        raise ValueError("restricted_apply requires t >= 0")
+    _require_time(t)
     if t_basis.role != "T":
         raise ValueError("restricted_apply expects the admissible basis")
     c, f_norm = _project_coefs(t_basis, f)
@@ -371,8 +370,8 @@ def transition_curve(f: GridFunction, times, mode: str, t_basis: SubspaceBasis |
     times = np.asarray(list(times), dtype=float)
     if times.size == 0:
         raise ValueError("times must be non-empty")
-    if np.any(times < 0) or np.any(np.diff(times) < 0):
-        raise ValueError("times must be non-negative and non-decreasing")
+    if not np.all(np.isfinite(times) & (times >= 0)) or np.any(np.diff(times) < 0):
+        raise ValueError("times must be finite, non-negative and non-decreasing")
     if mode == "decay":
         if t_basis is None:
             raise ValueError("decay mode needs the admissible basis")

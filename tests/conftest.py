@@ -49,6 +49,19 @@ def rational_sum(grid, poles, weights=None):
     return sr.grid_function(grid, sum(w / (lam - p) for w, p in zip(weights, poles)))
 
 
+LOWER_POINTS = (-1j, 1 - 0.5j, -2 - 2j, 0.3 - 3j)
+
+
+def lower_cauchy_leak(f):
+    """``max |C_- f(z)| sqrt(pi) / ||f||`` over points below the axis.
+
+    The Cauchy integral below the axis vanishes on the upper Hardy class, so
+    this measures how far grid samples are from a member of it.
+    """
+    worst = max(np.abs(sr.cauchy_eval(f, z)).max() for z in LOWER_POINTS)
+    return worst * np.sqrt(np.pi) / sr.norm(f)
+
+
 def run_python(*args, cwd=None, **env):
     """Run a fresh interpreter that imports this checkout of scatres, with extra ``env``."""
     src = os.path.dirname(os.path.dirname(sr.__file__))

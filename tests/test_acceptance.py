@@ -115,17 +115,18 @@ def test_criterion_05_hardy_suite():
 
 
 def test_criterion_06_characteristic_semigroup():
-    g = sr.make_grid(2**14, 400.0)
-    lam = g.points()
-    e = sr.grid_function(g, 1 / (lam - ZETA))
+    # C(t) acts on rational-basis coefficients: those of 1/(lam - zeta), of
+    # phi_0 and of 1/(lam + 0.5 + 2i), 48 each
+    e = sr.gamov_coefficients(ZETA, 48)
+    norm = np.linalg.norm
     eigen = max(
-        sr.norm(sr.apply_C(e, t) - np.exp(-1j * t * ZETA) * e) / sr.norm(e)
+        norm(sr.apply_C(e, t) - np.exp(-1j * t * ZETA) * e) / norm(e)
         for t in (0.5, 1.0, 2.0)
     )
-    law = sr.norm(sr.apply_C(sr.apply_C(e, 0.5), 0.7) - sr.apply_C(e, 1.2)) / sr.norm(e)
+    law = norm(sr.apply_C(sr.apply_C(e, 0.5), 0.7) - sr.apply_C(e, 1.2)) / norm(e)
     contraction = max(
-        sr.norm(sr.apply_C(f, t)) / sr.norm(f) - 1.0
-        for f in (e, sr.mt_basis(0, g), sr.grid_function(g, 1 / (lam + 0.5 - 2j)))
+        norm(sr.apply_C(c, t)) / norm(c) - 1.0
+        for c in (e, np.eye(48)[0], sr.gamov_coefficients(-0.5 - 2j, 48))
         for t in (0.5, 1.0, 2.0)
     )
     _report(6, "eigenrelation for zeta = 1 - i", eigen, 5e-3)
@@ -165,7 +166,9 @@ def test_criterion_08_example1_end_to_end(example1_pipeline):
         for t in (0.5, 1.0, 2.0)
     )
     _report(8, "restricted semigroup acts as exp(-it(1-i))", action, 1e-2)
-    k0 = sr.generator_offset(e).offset[0]
+    # the offset of the eigenvector's component in T, from its grid coefficients
+    c = sr.mt_coefficients_grid(e, tb.working_dim)[:, 0]
+    k0 = sr.generator_offset(tb.coefs @ (tb.coefs.conj().T @ c)).offset
     _report(8, "generator offset k0 = -1", abs(k0 + 1.0), 1e-3)
 
 

@@ -95,9 +95,14 @@ def test_decay_example1(runner, tmp_path):
 
 
 def test_decay_bad_times(runner, tmp_path):
-    result = runner.invoke(main, ["decay", "--model", "example1", "--times", "3:0:0.1",
-                                  "--out", str(tmp_path)])
-    assert result.exit_code == 1
+    for times in ("3:0:0.1", "0:inf:0.5", "0:nan:0.1", "nan:1:0.1", "0:1:inf", "-1:3:0.1"):
+        result = runner.invoke(main, ["decay", "--model", "example1", "--times", times,
+                                      "--out", str(tmp_path)])
+        assert isinstance(result.exception, SystemExit), (times, result.exception)
+        assert result.exit_code == 1
+        assert "error: --times" in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "decay.csv").exists()
 
 
 @pytest.mark.parametrize("sizes", [["--basis-n", "0"], ["--basis-n", "-3"],
