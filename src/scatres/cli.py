@@ -20,6 +20,7 @@ from .hardy import make_grid, norm
 from .semigroup import build_polar_isometry
 
 _CURVE_TOL = 1e-2  # largest departure of |<e, Z(t) e>| from exp(-t |Im zeta|), in ||e||^2
+_MAX_TIMES = 10_000  # points of a --times grid; the default has 31
 
 
 def _fmt_json(obj) -> str:
@@ -91,8 +92,10 @@ def _parse_times(text):
         raise click.UsageError("--times needs finite t0, t1 and dt")
     if dt <= 0 or not 0 <= t0 <= t1:
         raise click.UsageError("--times needs 0 <= t0 <= t1 and dt > 0")
-    n = int(round((t1 - t0) / dt))
-    return [t0 + i * dt for i in range(n + 1)]
+    steps = (t1 - t0) / dt
+    if not (np.isfinite(steps) and round(steps) < _MAX_TIMES):
+        raise click.UsageError(f"--times asks for {steps + 1:.3g} points, more than {_MAX_TIMES}")
+    return [t0 + i * dt for i in range(round(steps) + 1)]
 
 
 def _model_options(fn):
@@ -179,9 +182,9 @@ def cmd_decay(model, a, v0, radius, grid_n, grid_l, basis_n, times, out_dir):
 
     Exit code 1 flags a bad configuration, including a basis size outside
     [1, grid-n/2]; exit code 2 a pole-scan failure or a decay computation
-    failure (S·N not finite, or a decay curve that departs from its
-    reference by more than 1e-2 of ||f||^2, so that the admissible subspace
-    does not hold the decaying eigenvector); exit code 3 a trivial
+    failure (S·N or its norms not finite, or a decay curve that departs
+    from its reference by more than 1e-2 of ||f||^2, so that the admissible
+    subspace does not hold the decaying eigenvector); exit code 3 a trivial
     admissible subspace (no resonances).
     """
     try:

@@ -303,13 +303,22 @@ def mt_coefficients_grid(f: GridFunction, count: int) -> np.ndarray:
     idempotent at machine precision.  As ``conj(phi_j) phi_k`` is
     ``t^(k-j)/(pi (1 + lam^2))`` with ``|t| = 1``, the Gram is Toeplitz.
     """
-    from scipy.linalg import toeplitz
-
     phi = _phi_matrix(f.grid, count)
     # phi^H f as conj(phi^T conj(f)): only the n x m input is conjugated
     rhs = f.grid.spacing * (phi.T @ f.samples.conj()).conj()
     row = f.grid.spacing * (phi[:, 0].conj() @ phi)
-    return np.linalg.solve(toeplitz(row.conj(), row), rhs)
+    return np.linalg.solve(_toeplitz(row.conj(), row), rhs)
+
+
+def _toeplitz(col: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """Toeplitz matrix with first column ``col`` and first row ``row``, by one gather.
+
+    Entry (i, k) is ``col[i - k]`` for i >= k and ``row[k - i]`` above the
+    diagonal, so ``row[0]`` is ignored.  The dtype is that of ``col`` and
+    ``row`` together, so extended precision stays.
+    """
+    vals = np.concatenate([col[::-1], row[1:]])
+    return vals[np.arange(row.size) - np.arange(col.size)[:, None] + col.size - 1]
 
 
 def mt_synthesize(coefs: np.ndarray, grid: Grid) -> GridFunction:

@@ -15,6 +15,7 @@ from .hardy import (
     Grid,
     GridFunction,
     _phi_matrix,
+    _toeplitz,
     mt_coefficients_grid,
     mt_synthesize,
 )
@@ -82,29 +83,9 @@ def generator_offset(coefs: np.ndarray) -> GeneratorSample:
                            image=generator_matrix(c.shape[0]) @ c)
 
 
-def _zunmqr(factor: tuple, trans: str, c: np.ndarray, overwrite: bool) -> np.ndarray:
-    from scipy.linalg.lapack import zunmqr
-
-    h, tau = factor
-    # the minimal workspace selects LAPACK's unblocked reflector loop: for the
-    # few columns applied here the blocked path costs more, since it forms a
-    # triangular factor from every block of n/2 reflector rows
-    out, _, info = zunmqr("L", trans, h, tau, c, max(1, c.shape[1]), overwrite_c=overwrite)
-    if info != 0:
-        raise RuntimeError(f"zunmqr failed with info={info}")
-    return out
-
-
-def _apply_q(factor: tuple, x: np.ndarray) -> np.ndarray:
-    """``Q [x; 0]`` for Q kept as ``geqrf`` reflectors and an r-row block x."""
-    c = np.zeros((factor[0].shape[0], x.shape[1]), dtype=complex, order="F")
-    c[: x.shape[0]] = x
-    return _zunmqr(factor, "N", c, overwrite=True)
-
-
-def _apply_qh(factor: tuple, f: np.ndarray) -> np.ndarray:
-    """Leading r rows of ``Q^H f``: the economic ``Q^H f``."""
-    return _zunmqr(factor, "C", f, overwrite=False)[: factor[0].shape[1]]
+def _qh(q: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``Q^H f`` as ``conj(Q^T conj(f))``: only the few columns of f are conjugated."""
+    return (q.T @ f.conj()).conj()
 
 
 @dataclass
@@ -113,20 +94,20 @@ class IsometryPair:
 
     ``forward`` maps the truncated Hardy subspace isometrically onto functions
     supported on the positive half line; ``adjoint`` is its inverse on the
-    retained directions.  The factors stay implicit: the Householder
-    reflectors ``(h, tau)`` of each half line's QR ``Phi- = Q- R-`` and
-    ``Phi+ = Q+ R+``, the r x r blocks ``Z = [Z-; Z+]`` and
-    ``P = U_keep Vh_keep``, and ``Vh_keep``.  The orthonormal basis
+    retained directions.  The factors are the explicit orthonormal ``Q-`` and
+    ``Q+`` of each half line's QR ``Phi- = Q- R-`` and ``Phi+ = Q+ R+``
+    (read-only views of the grid's store), the r x r blocks ``Z = [Z-; Z+]``
+    and ``P = U_keep Vh_keep``, and ``Vh_keep``.  The orthonormal basis
     ``q = [Q- Z-; Q+ Z+]`` and the isometry ``w = [0; Q+ P]`` are never
-    formed: each application is three reflector products on the given
-    columns.
+    formed: each application is products of ``Q-``/``Q+`` with the given
+    columns and of the r x r blocks with the r-row results.
     """
 
     grid: Grid
     rank: int
     singular_values: np.ndarray
-    _minus: tuple = field(repr=False)
-    _plus: tuple = field(repr=False)
+    _q_minus: np.ndarray = field(repr=False)
+    _q_plus: np.ndarray = field(repr=False)
     _z: np.ndarray = field(repr=False)
     _p: np.ndarray = field(repr=False)
     _vh: np.ndarray = field(repr=False)
@@ -134,20 +115,19 @@ class IsometryPair:
     def _synthesize(self, y: np.ndarray) -> np.ndarray:
         """``q y = [Q- Z- y; Q+ Z+ y]`` for an r-row block y."""
         r = self._z.shape[1]
-        return np.vstack([_apply_q(self._minus, self._z[:r] @ y),
-                          _apply_q(self._plus, self._z[r:] @ y)])
+        return np.vstack([self._q_minus @ (self._z[:r] @ y), self._q_plus @ (self._z[r:] @ y)])
 
     def forward(self, f: GridFunction) -> GridFunction:
         half = self.grid.n_points // 2
         r = self._z.shape[1]
-        qhf = (self._z[:r].conj().T @ _apply_qh(self._minus, f.samples[:half])
-               + self._z[r:].conj().T @ _apply_qh(self._plus, f.samples[half:]))
+        qhf = (self._z[:r].conj().T @ _qh(self._q_minus, f.samples[:half])
+               + self._z[r:].conj().T @ _qh(self._q_plus, f.samples[half:]))
         out = np.zeros_like(f.samples)
-        out[half:] = _apply_q(self._plus, self._p @ qhf)
+        out[half:] = self._q_plus @ (self._p @ qhf)
         return GridFunction(f.grid, out)
 
     def adjoint(self, f: GridFunction) -> GridFunction:
-        y = self._p.conj().T @ _apply_qh(self._plus, f.samples[self.grid.n_points // 2:])
+        y = self._p.conj().T @ _qh(self._q_plus, f.samples[self.grid.n_points // 2:])
         return GridFunction(f.grid, self._synthesize(y))
 
     def initial_vectors(self) -> list:
@@ -162,63 +142,56 @@ def _half_line_store(grid: Grid) -> list:
 
 
 def _half_line_factors(grid: Grid, count: int) -> tuple:
-    """``((h, tau), R)`` of each half line's first ``count`` basis columns.
+    """``(Q, R)`` of each half line's first ``count`` basis columns.
 
-    Both are prefixes of the grid's widest factorization so far: reflector k
-    leaves rows < k alone, so the first ``count`` reflectors and the leading
-    ``count x count`` block of R factor the first ``count`` columns.  With one
-    BLAS thread a prefix is bit-identical to a fresh narrower factorization;
-    with more, OpenBLAS splits each reflector update by the number of columns,
-    which can move the last bit.  A larger count refactors both halves at that
-    width; the stored arrays are read-only.
+    Both are prefixes of the grid's widest factorization so far: Householder
+    reflector k leaves rows < k alone, so the first ``count`` columns of Q and
+    the leading ``count x count`` block of R factor the first ``count``
+    columns.  With one BLAS thread a prefix is bit-identical to a fresh
+    narrower factorization; with more, OpenBLAS splits each reflector update
+    by the number of columns, which can move the last bit.  A larger count
+    refactors both halves at that width; the stored arrays are read-only.
     """
-    from scipy.linalg import qr
-
     store = _half_line_store(grid)
     if store[0] is None or store[0][0][1].shape[1] < count:  # R- is width x width
         half = grid.n_points // 2
-        phi = _phi_matrix(grid, count)  # cached and read-only: geqrf copies it
-        store[0] = tuple(qr(block, mode="raw", check_finite=False)
-                         for block in (phi[:half], phi[half:]))
-        for (h, tau), r in store[0]:
-            for a in (h, tau, r):
+        phi = _phi_matrix(grid, count)  # cached and read-only: the QR copies it
+        store[0] = tuple(np.linalg.qr(block) for block in (phi[:half], phi[half:]))
+        for factor in store[0]:
+            for a in factor:
                 a.flags.writeable = False
-    return tuple(((h[:, :count], tau[:count]), r[:count, :count]) for (h, tau), r in store[0])
+    return tuple((q[:, :count], r[:count, :count]) for q, r in store[0])
 
 
 def build_polar_isometry(grid: Grid, rank_budget: int = 48) -> IsometryPair:
     """SVD polar factor of the half-line-projected Hardy basis, by a two-block QR.
 
     The grid puts lam < 0 in its first n/2 rows, so the truncated basis splits
-    as ``Phi = [Q- R-; Q+ R+]`` by one Householder QR (LAPACK ``geqrf``) per
-    half line, and one small QR of the stacked ``[R-; R+] = Z R``
-    orthonormalizes it: ``q = [Q- Z-; Q+ Z+]`` (two-block TSQR).  The
-    half-line projection of ``q`` is ``[0; Q+ Z+]``, so the SVD of the r x r
-    block ``Z+ = U S V^H`` gives the singular values, and the partial isometry
-    is ``w = [0; Q+ U V^H]`` with singular values below ``_ISOMETRY_CUTOFF * sigma_max``
-    dropped.  ``Q-`` and ``Q+`` stay as the reflectors ``geqrf`` returns and
-    only r x r blocks are formed besides: no explicit Q, ``q`` or ``w`` and no
-    n x r product (see :class:`IsometryPair`).  The two half-line
-    factorizations are kept per grid at the widest budget asked so far, and
-    every budget takes their leading r reflectors and r x r triangle, which
-    are exactly the factorization of the first r columns.  So a call with a
-    budget no wider than the store costs only the 2r x r QR and the r x r SVD.
-    Householder QR also copes with a rank-deficient basis on coarse grids.
-    The same matrices act on every multiplicity component.
+    as ``Phi = [Q- R-; Q+ R+]`` by one Householder QR per half line, and one
+    small QR of the stacked ``[R-; R+] = Z R`` orthonormalizes it:
+    ``q = [Q- Z-; Q+ Z+]`` (two-block TSQR).  The half-line projection of
+    ``q`` is ``[0; Q+ Z+]``, so the SVD of the r x r block ``Z+ = U S V^H``
+    gives the singular values, and the partial isometry is
+    ``w = [0; Q+ U V^H]`` with singular values below
+    ``_ISOMETRY_CUTOFF * sigma_max`` dropped.  ``Q-`` and ``Q+`` are explicit
+    n/2 x r matrices and only r x r blocks are formed besides: no ``q`` or
+    ``w`` and no n x r product (see :class:`IsometryPair`).  The half-line
+    factors are prefixes of the grid's stored ones (:func:`_half_line_factors`),
+    so a call with a budget no wider than the store costs only the 2r x r QR
+    and the r x r SVD.  Householder QR also copes with a rank-deficient basis
+    on coarse grids.  The same matrices act on every multiplicity component.
     """
-    from scipy.linalg import qr
-
     if rank_budget < 1 or rank_budget > grid.n_points // 2:
         raise ValueError("rank_budget out of range")
-    (minus, r_minus), (plus, r_plus) = _half_line_factors(grid, rank_budget)
-    z, _ = qr(np.vstack([r_minus, r_plus]), mode="economic", check_finite=False)
+    (q_minus, r_minus), (q_plus, r_plus) = _half_line_factors(grid, rank_budget)
+    z, _ = np.linalg.qr(np.vstack([r_minus, r_plus]))
     u, s, vh = np.linalg.svd(z[rank_budget:])
     keep = s >= _ISOMETRY_CUTOFF * s[0]
     if not keep.any():
         raise RuntimeError("all singular values fell below the cutoff")
     return IsometryPair(
-        grid=grid, rank=int(keep.sum()), singular_values=s[keep], _minus=minus,
-        _plus=plus, _z=z, _p=u[:, keep] @ vh[keep], _vh=vh[keep],
+        grid=grid, rank=int(keep.sum()), singular_values=s[keep], _q_minus=q_minus,
+        _q_plus=q_plus, _z=z, _p=u[:, keep] @ vh[keep], _vh=vh[keep],
     )
 
 
@@ -260,10 +233,10 @@ def semigroup_matrix(t: float, dim: int) -> np.ndarray:
     and the spectral norm is at most one.
     """
     _require_time(t)
-    # entry (j, k) is v[k - j] behind dim - 1 leading zeros: zero below the diagonal
-    v = np.concatenate([np.zeros(dim - 1), np.exp(-t) * _laguerre_diff(dim, 2 * t)])
-    k = np.arange(dim)
-    return v[k[None, :] - k[:, None] + dim - 1]
+    row = np.exp(-t) * _laguerre_diff(dim, 2 * t)
+    col = np.zeros(dim)
+    col[0] = row[0]
+    return _toeplitz(col, row)
 
 
 def generator_matrix(dim: int) -> np.ndarray:

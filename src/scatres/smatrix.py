@@ -590,6 +590,11 @@ class TraceClassModel(SMatrixModel):
     def pole_condition(self, z, sheet: int = 1):
         return np.linalg.det(self.condition_matrix(z, sheet))
 
+    def constraint_poles(self):
+        # the empty list inherited from SMatrixModel would leave N unconstrained
+        raise NotImplementedError(f"model {self.name}: the rim poles of form-factor data are not "
+                                  "derived, so its N basis cannot be constrained")
+
     def scale(self):
         # sum_q w_q ||X_q||_1: |a| for the rank-one reduction
         return float(self.data.weights @ np.linalg.norm(self.data._cross, "nuc", axis=(1, 2)))

@@ -17,6 +17,7 @@ import numpy as np
 from .hardy import (
     Grid,
     GridFunction,
+    _toeplitz,
     cauchy_eval,
     mt_coefficients_grid,
     mt_expand,  # noqa: F401  (unused here; perfbench/selftest.py traces this binding)
@@ -155,10 +156,8 @@ def build_M_and_T(model: SMatrixModel, n_basis: SubspaceBasis,
     (``|S|`` reaches 1e11 on the circle): the product runs in extended
     precision, else its double roundoff leaves errors of ``eps*max|S|``, about
     1e-10 of the largest singular value.  Raises ``FloatingPointError`` when
-    ``S*N`` overflows.
+    ``S*N`` overflows, and when it is finite but its column norms overflow.
     """
-    from scipy.linalg import toeplitz
-
     _require_scalar(model)
     if n_basis.role != "N":
         raise ValueError("build_M_and_T expects the constrained basis")
@@ -174,13 +173,18 @@ def build_M_and_T(model: SMatrixModel, n_basis: SubspaceBasis,
     # a finite product may still overflow when cast to double; reported below
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # rows k = -(D-1) .. D-1 of the image coefficients
-        images = (toeplitz(s_hat[d_work - 1:], s_hat[d_work - 1::-1])
+        images = (_toeplitz(s_hat[d_work - 1:], s_hat[d_work - 1::-1])
                   @ n_basis.coefs).astype(complex)
         m_cols = images[d_work - 1:]
         leakage = (np.linalg.norm(images[:d_work - 1], axis=0)
                    / np.maximum(np.linalg.norm(m_cols, axis=0), 1e-300))
-    if not (np.all(np.isfinite(m_cols)) and np.all(np.isfinite(leakage))):
+    if not np.all(np.isfinite(images)):
         raise overflow
+    if not np.all(np.isfinite(leakage)):
+        # the norms square the entries, so they overflow from about 1e154
+        raise FloatingPointError(
+            f"model {model.name}: S·N is finite (largest entry {np.abs(images).max():.3g}), but "
+            "the multiplier S is unbounded on the circle and the norms of S·N overflow")
 
     u, s, _ = np.linalg.svd(m_cols, full_matrices=True)
     rank = int(np.sum(s >= _RANK_CUTOFF * s[0])) if s.size else 0

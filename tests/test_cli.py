@@ -95,7 +95,8 @@ def test_decay_example1(runner, tmp_path):
 
 
 def test_decay_bad_times(runner, tmp_path):
-    for times in ("3:0:0.1", "0:inf:0.5", "0:nan:0.1", "nan:1:0.1", "0:1:inf", "-1:3:0.1"):
+    for times in ("3:0:0.1", "0:inf:0.5", "0:nan:0.1", "nan:1:0.1", "0:1:inf", "-1:3:0.1",
+                  "0:1e308:1e-308", "0:1:1e-4"):
         result = runner.invoke(main, ["decay", "--model", "example1", "--times", times,
                                       "--out", str(tmp_path)])
         assert isinstance(result.exception, SystemExit), (times, result.exception)
@@ -268,25 +269,29 @@ def test_resonances_strong_couplings_in_reach(runner, tmp_path, a, expected):
     assert [row.rsplit(",", 1)[0] for row in rows] == expected
 
 
+# each case is a whole command line; resonances on every model family, then
+# the commands that run the subspace, isometry and verification code
 @pytest.mark.parametrize("model", [
-    ["--model", "example1"],
-    ["--model", '{"model": "rational", "poles": [[0.5, -0.7], [-1.2, 0.4]]}'],
-    ["--model", "rankone", "--a", "2"],
-    ["--model", "rankone", "--a", "-2"],
-    ["--model", "squarewell", "--v0", "10", "--radius", "1"],
-    ["--model", '{"model": "traceclass", "file": "factors.csv"}'],
+    ["resonances", "--model", "example1"],
+    ["resonances", "--model", '{"model": "rational", "poles": [[0.5, -0.7], [-1.2, 0.4]]}'],
+    ["resonances", "--model", "rankone", "--a", "2"],
+    ["resonances", "--model", "rankone", "--a", "-2"],
+    ["resonances", "--model", "squarewell", "--v0", "10", "--radius", "1"],
+    ["resonances", "--model", '{"model": "traceclass", "file": "factors.csv"}'],
+    ["decay", "--model", "example1"],
+    ["decay", "--model", "rankone", "--a", "1"],
+    ["verify", "--suite", "all"],
 ])
 def test_resonances_without_scipy_match(tmp_path, model):
     _write_trace_csv(tmp_path / "factors.csv", 1.0)
-    blocked = _python("-c", _BLOCKED_CLI, "resonances", *model, "--out", "blocked", cwd=tmp_path)
-    plain = _cli("resonances", *model, "--out", "plain", cwd=tmp_path)
+    blocked = _python("-c", _BLOCKED_CLI, *model, "--out", "blocked", cwd=tmp_path)
+    plain = _cli(*model, "--out", "plain", cwd=tmp_path)
     assert "Traceback" not in blocked.stderr
     assert (blocked.returncode, blocked.stdout) == (plain.returncode, plain.stdout)
-    for name in ("poles.csv", "poles.json"):
-        blocked_file, plain_file = tmp_path / "blocked" / name, tmp_path / "plain" / name
-        assert blocked_file.exists() == plain_file.exists()
-        if plain_file.exists():
-            assert blocked_file.read_bytes() == plain_file.read_bytes()
+    names = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert sorted(p.name for p in (tmp_path / "blocked").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "blocked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 @pytest.mark.parametrize("suite", ["hardy", "smatrix", "semigroup", "subspace"])

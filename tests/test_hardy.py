@@ -239,6 +239,20 @@ def test_basis_gram_is_toeplitz(fresh_basis_cache, n, half_extent, count):
     assert np.abs(toeplitz(row.conj(), row) - full).max() < 1e-13
 
 
+@pytest.mark.parametrize("dtype", [complex, np.clongdouble])
+@pytest.mark.parametrize("rows, cols", [(5, 5), (9, 5), (1, 1)])
+def test_toeplitz_gather_matches_scipy(dtype, rows, cols):
+    from scipy.linalg import toeplitz
+
+    rng = np.random.default_rng(rows + cols)
+    col = (rng.standard_normal(rows) + 1j * rng.standard_normal(rows)).astype(dtype)
+    row = (rng.standard_normal(cols) + 1j * rng.standard_normal(cols)).astype(dtype)
+    assert col[0] != row[0]  # the diagonal is col[0]
+    got = hardy._toeplitz(col, row)
+    assert got.dtype == dtype
+    assert np.array_equal(got, toeplitz(col, row))
+
+
 def test_mt_synthesize_point_eval(grid):
     coefs = np.array([0.5, -0.25j, 0.1])
     f = sr.mt_synthesize(coefs, grid)

@@ -267,8 +267,8 @@ def test_polar_isometry_rank_deficient_basis(budget):
 
 
 def _stored_factors(grid):
-    """The grid's stored half-line reflectors, scalar factors and triangles."""
-    return [a for (h, tau), r in _half_line_store(grid)[0] for a in (h, tau, r)]
+    """The grid's stored half-line Q and R factors."""
+    return [a for q, r in _half_line_store(grid)[0] for a in (q, r)]
 
 
 def test_polar_isometry_leaves_cached_basis_unchanged():
@@ -280,8 +280,7 @@ def test_polar_isometry_leaves_cached_basis_unchanged():
     again = _phi_matrix(g, 40)
     assert np.shares_memory(again, phi)
     assert np.array_equal(again, before)
-    # the reflectors are shared by every budget; zunmqr writes into their
-    # diagonal while it applies them and must restore it
+    # the factors are shared by every budget and must stay unchanged
     stored = [a.copy() for a in _stored_factors(g)]
     f = rational_sum(g, [ZETA, -1 - 2j])
     iso.forward(f)
@@ -295,18 +294,18 @@ def test_polar_isometry_budgets_share_the_grid_factorization(n, half_extent):
     g = sr.make_grid(n, half_extent)
     _half_line_store.cache_clear()
     sr.build_polar_isometry(g, rank_budget=48)
-    h_minus, _, _, h_plus, _, _ = _stored_factors(g)
+    q_minus, _, q_plus, _ = _stored_factors(g)
     for budget in (32, 40):
         iso = sr.build_polar_isometry(g, rank_budget=budget)
-        assert np.shares_memory(iso._minus[0], h_minus)
-        assert np.shares_memory(iso._plus[0], h_plus)
+        assert np.shares_memory(iso._q_minus, q_minus)
+        assert np.shares_memory(iso._q_plus, q_plus)
     # a wider budget widens the store; an isometry built before keeps its factors
     _half_line_store.cache_clear()
     narrow = sr.build_polar_isometry(g, rank_budget=32)
-    minus = narrow._minus[0].copy()
+    minus = narrow._q_minus.copy()
     sr.build_polar_isometry(g, rank_budget=48)
     assert _stored_factors(g)[0].shape[1] == 48
-    assert np.array_equal(narrow._minus[0], minus)
+    assert np.array_equal(narrow._q_minus, minus)
 
 
 # Budgets built in this order on one grid, then each rebuilt on an empty store.

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import scatres as sr
 from conftest import lower_cauchy_leak
+from scatres import subspace
 
 ZETA = 1 - 1j
 SQ2 = np.sqrt(2.0)
@@ -174,8 +175,6 @@ def test_rational_M_and_T_never_sample_S(grid, monkeypatch):
 def test_overflowing_S_raises_before_fft_and_product(grid, monkeypatch):
     # S of this weak well overflows on the circle: every coefficient is then
     # NaN, and neither the extended-precision FFT nor the Toeplitz product runs
-    import scipy.linalg
-
     model = sr.SquareWellModel(0.2211524855348381, 1.9838212674034716)
     nb = sr.build_N_basis(model, 12, "rim_poles", grid)
 
@@ -183,10 +182,28 @@ def test_overflowing_S_raises_before_fft_and_product(grid, monkeypatch):
         raise AssertionError("non-finite circle samples reached the FFT or the product")
 
     monkeypatch.setattr(np.fft, "fft", refuse)
-    monkeypatch.setattr(scipy.linalg, "toeplitz", refuse)
+    monkeypatch.setattr(subspace, "_toeplitz", refuse)
     assert np.isnan(model.circle_coefficients(np.arange(-4, 4), 2**16)).all()
     with pytest.raises(FloatingPointError, match="S·N overflows"):
         sr.build_M_and_T(model, nb)
+
+
+def test_finite_S_N_with_overflowing_norms_is_named(grid):
+    # S·N of this well is finite (largest entry 3.84e204), but its column norms
+    # square the entries past the double range
+    model = sr.SquareWellModel(0.2611561959275361, 1.2130020693182535)
+    nb = sr.build_N_basis(model, 40, "rim_poles", grid)
+    with pytest.raises(FloatingPointError,
+                       match=r"S·N is finite \(largest entry 3\.84e\+204\).*unbounded on the circle"):
+        sr.build_M_and_T(model, nb)
+
+
+def test_trace_class_N_basis_is_refused(grid):
+    # form-factor data declare no rim poles, so N could not be constrained
+    model = sr.TraceClassModel(sr.rankone_trace_data(1.0))
+    with pytest.raises(NotImplementedError, match="rim poles"):
+        sr.build_N_basis(model, 16, "rim_poles", grid)
+
 
 def test_N_basis_validation(grid):
     with pytest.raises(ValueError):
