@@ -65,6 +65,8 @@ def _parse_model(model, a, v0, radius):
     else:
         with open(text) as fh:
             spec = json.load(fh)
+        if not isinstance(spec, dict):
+            raise ValueError(f"model file {text!r} must hold a JSON object, not {type(spec).__name__}")
     if a is not None:
         spec.setdefault("a", a)
     if v0 is not None:

@@ -35,6 +35,7 @@ __all__ = [
 _RIM_EXTENT = 8.0  # the rim scans cover at least [-_RIM_EXTENT, -1e-6]
 _AUDIT_TOL = 1e-8  # conjugate_pair_audit: poles this close to conjugate, this far off the axis, pair
 _RESOLUTION = 41  # scan_region samples each side of a rectangle at this many points
+_RIM_POINTS = 4001  # rim scans sample each rim at this many points
 
 
 @dataclass
@@ -67,6 +68,8 @@ class ScanRegion:
     sheet: int = 1
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.re_min, self.re_max, self.im_min, self.im_max])):
+            raise ValueError("scan rectangle bounds must be finite")
         if not (self.re_max > self.re_min and self.im_max > self.im_min):
             raise ValueError("degenerate scan rectangle")
 
@@ -189,13 +192,22 @@ def _classify(model: SMatrixModel, zeta: complex, sheet: int, iterations: int) -
                      residual=residual, refinement_iterations=iterations)
 
 
-def rim_scan(model: SMatrixModel, x_min: float, x_max: float, sheet: int,
-             n: int = 4001) -> list[Resonance]:
-    """One-dimensional pole search along the negative axis on a fixed sheet."""
+def _rim_grid(x_min: float, x_max: float, n: int) -> np.ndarray:
+    """The ``n`` points a rim scan of ``[x_min, x_max]`` samples, ending at or below -1e-9."""
     if x_min >= x_max or x_max > 0:
         raise ValueError("rim scans need x_min < x_max <= 0")
-    xs = np.linspace(x_min, min(x_max, -1e-9), n)
-    vals = model.pole_condition(xs.astype(complex), sheet)
+    return np.linspace(x_min, min(x_max, -1e-9), n)
+
+
+def rim_scan(model: SMatrixModel, x_min: float, x_max: float, sheet: int,
+             n: int = _RIM_POINTS, samples=None) -> list[Resonance]:
+    """One-dimensional pole search along the negative axis on a fixed sheet.
+
+    ``samples``, when given, are the sheet's pole condition on the scan's grid
+    (:func:`_rim_grid` of the same bounds and ``n``), already evaluated.
+    """
+    xs = _rim_grid(x_min, x_max, n)
+    vals = model.pole_condition(xs.astype(complex), sheet) if samples is None else samples
     if np.max(np.abs(vals.imag)) > 1e-9 * max(np.max(np.abs(vals)), 1.0):
         raise RuntimeError("rim pole condition is not real; no robust bracketing available")
     roots = _sign_change_roots(lambda x: model.pole_condition(x.astype(complex), sheet).real,
@@ -311,9 +323,10 @@ def find_resonances(model: SMatrixModel, regions: list[ScanRegion] | None = None
     on the model's last sheet, for one-sheet models with its mirror
     ``[-R, R] x [0.02, R]``; two-sheet models are also scanned on
     ``[-max(8, R), -1e-6]`` along the rims of both sheets, or of the sheets
-    the user regions name.  Refined poles closer than 1e-8 on one sheet are
-    reported once.  A candidate centres a cell of winding >= 1, so a failed
-    refinement loses a located pole and raises.
+    the user regions name; that rim grid is sampled once, in one
+    ``pole_conditions`` call for all those sheets.  Refined poles closer than
+    1e-8 on one sheet are reported once.  A candidate centres a cell of
+    winding >= 1, so a failed refinement loses a located pole and raises.
     """
     reach = max(6.0, (1 + np.sqrt(model.scale())) ** 2 + 1)
     rim_sheets = [1, 2] if regions is None else sorted({region.sheet for region in regions})
@@ -325,8 +338,10 @@ def find_resonances(model: SMatrixModel, regions: list[ScanRegion] | None = None
     for region in regions:
         found.extend(refine(model, cand, region.sheet) for cand in scan_region(model, region))
     if model.sheet_count == 2:
-        for sheet in rim_sheets:
-            found.extend(rim_scan(model, -max(_RIM_EXTENT, reach), -1e-6, sheet))
+        x_min = -max(_RIM_EXTENT, reach)
+        rim = model.pole_conditions(_rim_grid(x_min, -1e-6, _RIM_POINTS).astype(complex), rim_sheets)
+        for sheet, samples in zip(rim_sheets, rim):
+            found.extend(rim_scan(model, x_min, -1e-6, sheet, _RIM_POINTS, samples=samples))
     deduped: list[Resonance] = []
     for r in sorted(found, key=lambda r: (r.sheet, r.zeta.real, r.zeta.imag)):
         if all(abs(r.zeta - o.zeta) > 1e-8 or r.sheet != o.sheet for o in deduped):

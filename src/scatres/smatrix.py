@@ -64,7 +64,8 @@ class SMatrixModel:
     ``eval`` is derived from it, so scan grids, contours and boundary samples
     are evaluated in one call and ``S`` cannot disagree with its poles.  A
     model whose pole condition is a determinant also returns its matrix from
-    ``condition_matrix``.
+    ``condition_matrix``; one whose sheets share work overrides
+    ``pole_conditions``, which evaluates several sheets at the same points.
     """
 
     name: str = "abstract"
@@ -77,6 +78,14 @@ class SMatrixModel:
         raise NotImplementedError
 
     # -- shared ----------------------------------------------------------
+    def pole_conditions(self, z, sheets) -> list[np.ndarray]:
+        """``pole_condition(z, sheet)`` for each of ``sheets`` in turn, as a list.
+
+        Models whose sheets share most of their work override it to do that
+        work once; the values stay those of ``pole_condition``.
+        """
+        return [self.pole_condition(z, sheet) for sheet in sheets]
+
     def condition_matrix(self, z, sheet: int = 1) -> np.ndarray:
         """Matrix whose determinant is the pole condition: here ``pole_condition``
         as 1x1, shape ``z.shape + (1, 1)``; trace-class models return ``L``."""
@@ -87,8 +96,9 @@ class SMatrixModel:
     def eval(self, z, sheet: int = 1) -> np.ndarray:
         """Scattering matrix on the given sheet; shape ``z.shape + (1, 1)``.
 
-        Two sheets: ``S = pole_condition(z, 3 - sheet) / pole_condition(z, sheet)``,
-        the Jost ratio ``F(-k)/F(k)`` or the Birman-Krein ratio of ``det L``.
+        Two sheets: ``S = pole_condition(z, 3 - sheet) / pole_condition(z, sheet)``
+        from one ``pole_conditions`` call, the Jost ratio ``F(-k)/F(k)`` or the
+        Birman-Krein ratio of ``det L``.
         One sheet: the pole condition is ``1/S``, so ``S`` is its reflection
         ``conj(pole_condition(conj z))``, which stays finite at the zeros of ``S``.
         """
@@ -99,7 +109,8 @@ class SMatrixModel:
         if self.sheet_count == 1:
             s = np.conj(self.pole_condition(np.conj(z), 1))
         else:
-            s = self.pole_condition(z, 3 - sheet) / self.pole_condition(z, sheet)
+            num, den = self.pole_conditions(z, (3 - sheet, sheet))
+            s = num / den
         return s.reshape(z.shape + (1, 1))
 
     def _check_sheet(self, z, sheet: int):
@@ -415,15 +426,27 @@ class TraceClassData:
         return self.a_vals.shape[2]
 
 
+# the 16-point Gauss-Legendre rule on [-1, 1], bit for bit that of
+# np.polynomial.legendre.leggauss(16), which is symmetric; tabulated, so no call
+# solves its eigenvalue problem and importing this module loads no numpy.polynomial
+_GL_HALF_NODES = np.array([0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+                           0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+                           0.9445750230732326, 0.9894009349916499])
+_GL_HALF_WEIGHTS = np.array([0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+                             0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+                             0.062253523938647456, 0.027152459411754176])
+_GL_NODES = np.concatenate([-_GL_HALF_NODES[::-1], _GL_HALF_NODES])
+_GL_WEIGHTS = np.concatenate([_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS])
+
+
 def _gl_panels(k_start: float, k_stop: float):
     """Gauss-Legendre panels of 16 nodes on a momentum interval, 0.05 wide, growing by 1.6."""
-    xs, ws = np.polynomial.legendre.leggauss(16)
     nodes, weights = [], []
     lo, width = k_start, 0.05
     while lo < k_stop:
         hi = min(lo + width, k_stop)
-        nodes.append((hi - lo) / 2 * xs + (hi + lo) / 2)
-        weights.append((hi - lo) / 2 * ws)
+        nodes.append((hi - lo) / 2 * _GL_NODES + (hi + lo) / 2)
+        weights.append((hi - lo) / 2 * _GL_WEIGHTS)
         lo = hi
         width *= 1.6
     return np.concatenate(nodes), np.concatenate(weights)
@@ -551,12 +574,22 @@ def build_L(data: TraceClassData, z, sheet: int = 1) -> np.ndarray:
     ``I - T(mu - i0)``.  Off the axis that needs the analytic continuation
     ``c_fun``.  ``z`` is a scalar or an array.  Poles are the zeros of ``det L``.
     """
+    z = np.asarray(z, dtype=complex)
+    _check_L_sheet(data, z, sheet)
+    return _L_from_T(data, z, trace_T(data, z), sheet)
+
+
+def _check_L_sheet(data: TraceClassData, z: np.ndarray, sheet: int) -> None:
+    """``ValueError`` for a sheet other than 1 or 2, or sheet two off ``(0, inf)`` without ``c_fun``."""
     if sheet not in (1, 2):
         raise ValueError(f"sheet must be 1 or 2, got {sheet}")
-    z = np.asarray(z, dtype=complex)
     if sheet == 2 and data.c_fun is None and np.any((z.imag != 0) | (z.real <= 0)):
         raise ValueError("sheet-two evaluation off (0, inf) needs an analytic form-factor continuation")
-    ell = np.eye(data.aux_dim, dtype=complex) - trace_T(data, z)
+
+
+def _L_from_T(data: TraceClassData, z: np.ndarray, t: np.ndarray, sheet: int) -> np.ndarray:
+    """``L`` of :func:`build_L` on a checked sheet from ``t = trace_T(data, z)``, which is left unchanged."""
+    ell = np.eye(data.aux_dim, dtype=complex) - t
     if sheet == 2:
         jump = np.where(np.signbit(z.imag), 2j * np.pi, -2j * np.pi)
         ell += jump[..., None, None] * _cross_at(data, z)
@@ -589,6 +622,18 @@ class TraceClassModel(SMatrixModel):
 
     def pole_condition(self, z, sheet: int = 1):
         return np.linalg.det(self.condition_matrix(z, sheet))
+
+    def pole_conditions(self, z, sheets):
+        # the sheets' L differ only by the 2 pi i X jump, so one quadrature T serves them all
+        z = np.asarray(z, dtype=complex)
+        t = None
+        dets = []
+        for sheet in sheets:
+            _check_L_sheet(self.data, z, sheet)
+            if t is None:
+                t = trace_T(self.data, z)
+            dets.append(np.linalg.det(_L_from_T(self.data, z, t, sheet)))
+        return dets
 
     def constraint_poles(self):
         # the empty list inherited from SMatrixModel would leave N unconstrained

@@ -69,3 +69,15 @@ def run_python(*args, cwd=None, **env):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env=env, cwd=cwd, timeout=300)
+
+
+def count_trace_T(monkeypatch):
+    """Wrap ``smatrix.trace_T``, where the models look it up; return the list of each call's ``z`` shape."""
+    calls, inner = [], sr.smatrix.trace_T
+
+    def counted(data, z):
+        calls.append(np.shape(z))
+        return inner(data, z)
+
+    monkeypatch.setattr(sr.smatrix, "trace_T", counted)
+    return calls

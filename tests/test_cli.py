@@ -211,8 +211,9 @@ def test_model_name_is_never_read_as_a_path(tmp_path, name, options):
 
 
 def test_cli_import_loads_no_scipy():
-    proc = _python("-c", "import sys, scatres.cli; "
-                         "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    # nor numpy.polynomial: the Gauss-Legendre rule of the rank-one quadrature is tabulated
+    proc = _python("-c", "import sys, scatres.cli; print(sorted(m for m in sys.modules "
+                         "if m.startswith(('scipy', 'numpy.polynomial'))))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -331,6 +332,33 @@ def test_verify_raising_check_is_named_failure(runner, tmp_path, monkeypatch):
     [check] = json.loads((tmp_path / "report.json").read_text())["checks"]
     assert check == {"check": "hardy.boom", "measured": None, "tolerance": 1.0, "pass": False,
                      "error": "ZeroDivisionError: division by zero"}
+
+
+@pytest.mark.parametrize("model, bounds", [(["example1", "--sheet", "1"], ["0", "2", "-2", "2"]),
+                                           (["rankone", "--a", "1"], ["-1", "1", "-2", "-0.1"])])
+@pytest.mark.parametrize("index", range(4))
+def test_resonances_non_finite_region_exit1(runner, tmp_path, model, bounds, index):
+    # a grid over an infinite side holds NaN: refused, not an empty table
+    bounds = list(bounds)
+    bounds[index] = "inf" if index % 2 else "-inf"
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["resonances", "--model", *model, f"--region={','.join(bounds)}",
+                                  "--out", str(out)])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: scan rectangle bounds must be finite")
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["resonances", "--a", "1"], ["decay", "--v0", "1"]])
+def test_model_file_not_an_object_exit1(tmp_path, args):
+    # a model option must not reach a list through spec.setdefault
+    (tmp_path / "m.json").write_text("[1, 2]\n")
+    proc = _cli(args[0], "--model", "m.json", *args[1:], "--out", "out", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: model file 'm.json' must hold a JSON object")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("args", [

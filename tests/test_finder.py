@@ -5,10 +5,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import scatres as sr
+from conftest import count_trace_T
 
 SQ2 = np.sqrt(2.0)
 
@@ -37,6 +38,16 @@ def test_scan_region_validation():
     with pytest.raises(ValueError, match="crosses the cut"):
         straddle.check_model(sr.RankOneModel(1.0))
     straddle.check_model(sr.example1())  # a one-sheet model has no cut
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("index", range(4))
+def test_scan_region_refuses_non_finite_bounds(index, bad):
+    # a grid over an infinite side holds NaN, so no cell would ever become a candidate
+    bounds = [-1.0, 1.0, -2.0, -0.1]
+    bounds[index] = bad
+    with pytest.raises(ValueError, match="bounds must be finite"):
+        sr.ScanRegion(*bounds)
 
 
 def test_one_sheet_region_straddles_the_axis():
@@ -223,6 +234,39 @@ def test_find_resonances_two_channel_kernels():
         assert abs(r.zeta - zeta) < 1e-6
         assert abs(abs(np.vdot(kernel, r.kernel)) - 1) < 1e-6
         assert r.residual < 1e-10
+
+
+def test_find_resonances_samples_the_traceclass_rim_grid_once(monkeypatch):
+    # both sheets' rim samples come from one quadrature T on the shared grid
+    model = sr.TraceClassModel(sr.rankone_trace_data(-2.0))
+    calls = count_trace_T(monkeypatch)
+    found = sr.find_resonances(model)
+    assert calls.count((4001,)) == 1
+    assert [(r.sheet, r.kind) for r in found] == [(1, "bound_state"), (2, "rim_pole")]
+
+
+class _SheetBySheet(sr.TraceClassModel):
+    """The per-sheet reference: each sheet's pole condition from its own trace_T call."""
+
+    pole_conditions = sr.SMatrixModel.pole_conditions
+
+
+def _records(model):
+    try:
+        return [r.as_record() for r in sr.find_resonances(model)]
+    except Exception as exc:  # the shared path must fail alike
+        return repr(exc)
+
+
+@settings(max_examples=15, deadline=None)
+@given(exponent=st.floats(np.log10(0.03), np.log10(32)), sign=st.sampled_from([1, -1]),
+       channels=st.sampled_from([1, 2]))
+@example(exponent=0.0, sign=1, channels=2)
+def test_shared_trace_T_keeps_every_record(exponent, sign, channels):
+    # zeta, sheet, kind, residual, kernel and Newton count equal the per-sheet path bit for bit
+    a = sign * 10.0**exponent
+    data = sr.rankone_trace_data(a) if channels == 1 else _two_channel_data(a, 4.0)
+    assert _records(sr.TraceClassModel(data)) == _records(_SheetBySheet(data))
 
 
 def test_kernel_phase_makes_largest_entry_positive():

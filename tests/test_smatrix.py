@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 import scatres as sr
+from conftest import count_trace_T
 
 SQ2 = np.sqrt(2.0)
 
@@ -73,6 +74,13 @@ def test_rankone_resolvent_quadrature_oracle():
     # beta integral identity behind the exact point: int sqrt(l)/(1+l)^3 = pi/8
     beta = quad(lambda l: np.sqrt(l) / (1 + l) ** 3, 0, np.inf, limit=400)[0]
     assert abs(beta - np.pi / 8) < 1e-10
+
+
+def test_gauss_legendre_table_is_leggauss():
+    # the rank-one quadrature grid stays bit for bit that of the computed rule
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(sr.smatrix._GL_NODES, nodes)
+    assert np.array_equal(sr.smatrix._GL_WEIGHTS, weights)
 
 
 def test_rankone_boundary_value_vs_sokhotski_oracle():
@@ -305,6 +313,20 @@ def test_traceclass_eval_matches_rankone_off_axis(a):
     for sheet in (1, 2):
         s, ref = model.eval(zs, sheet), closed.eval(zs, sheet)
         assert np.all(np.abs(s - ref) <= 1e-8 * np.abs(ref))
+
+
+@pytest.mark.parametrize("a", [1.0, -2.0])
+@pytest.mark.parametrize("sheet", [1, 2])
+def test_traceclass_eval_takes_one_trace_T(monkeypatch, a, sheet):
+    # both sheets' L come from one quadrature T, with the arithmetic of build_L on each sheet
+    data = sr.rankone_trace_data(a)
+    zs = np.concatenate([_TRACE_PANEL, [0.5, complex(2.0, 0.0), complex(2.0, -0.0), complex(7.5, -0.0)]])
+    ref = np.linalg.det(sr.build_L(data, zs, 3 - sheet)) / np.linalg.det(sr.build_L(data, zs, sheet))
+    calls = count_trace_T(monkeypatch)
+    s = sr.TraceClassModel(data).eval(zs, sheet)
+    assert calls == [zs.shape]
+    assert np.array_equal(s[:, 0, 0], ref)
+    assert np.array_equal(np.signbit(zs[8:].imag), [False, False, True, True])  # both sides of (0, inf)
 
 
 _NEAR_AXIS = st.tuples(st.floats(0.05, 8), st.floats(-3, np.log10(5)), st.sampled_from([1, -1])).map(
