@@ -254,7 +254,8 @@ def _phi_samples(lam: np.ndarray, count: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _phi_store(grid: Grid) -> list:
-    return [np.empty((grid.n_points, 0), dtype=complex, order="F")]
+    """The grid's widest basis samples so far, and its Gram rows by count."""
+    return [np.empty((grid.n_points, 0), dtype=complex, order="F"), {}]
 
 
 def _phi_matrix(grid: Grid, count: int) -> np.ndarray:
@@ -306,8 +307,23 @@ def mt_coefficients_grid(f: GridFunction, count: int) -> np.ndarray:
     phi = _phi_matrix(f.grid, count)
     # phi^H f as conj(phi^T conj(f)): only the n x m input is conjugated
     rhs = f.grid.spacing * (phi.T @ f.samples.conj()).conj()
-    row = f.grid.spacing * (phi[:, 0].conj() @ phi)
+    row = _gram_row(f.grid, count)
     return np.linalg.solve(_toeplitz(row.conj(), row), rhs)
+
+
+def _gram_row(grid: Grid, count: int) -> np.ndarray:
+    """First row ``h phi_0^H Phi`` of the basis Gram, formed once per grid and count; read-only.
+
+    It is kept beside the basis samples, so it is evicted with them.  A wider
+    store holds the same leading columns bit for bit, so a kept row never goes
+    stale.
+    """
+    rows = _phi_store(grid)[1]
+    if count not in rows:
+        phi = _phi_matrix(grid, count)
+        rows[count] = grid.spacing * (phi[:, 0].conj() @ phi)
+        rows[count].flags.writeable = False
+    return rows[count]
 
 
 def _toeplitz(col: np.ndarray, row: np.ndarray) -> np.ndarray:

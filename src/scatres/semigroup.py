@@ -211,18 +211,30 @@ def transfer_apply(iso: IsometryPair, f: GridFunction, t: float) -> GridFunction
 # closed-form matrices in the rational basis
 
 
-def _laguerre_diff(count: int, x: float) -> np.ndarray:
-    """L^{(-1)}_m(x) = L_m(x) - L_{m-1}(x) for m = 0..count-1, by recurrence."""
-    la = np.empty(count + 1)
+def _semigroup_rows(times: np.ndarray, dim: int) -> np.ndarray:
+    """First rows ``e^{-t} L^{(-1)}_m(2t)``, m < dim, of :func:`semigroup_matrix`; shape (T, dim).
+
+    ``L^{(-1)}_m = L_m - L_{m-1}`` comes from one Laguerre recurrence over
+    every time at once; each entry is that of the recurrence at its time alone,
+    bit for bit.
+    """
+    x = 2 * times
+    la = np.empty((dim + 1, x.size))
     la[0] = 1.0
-    if count >= 1:
-        la[1] = 1.0 - x
-    for m in range(1, count):
+    la[1] = 1.0 - x
+    for m in range(1, dim):
         la[m + 1] = ((2 * m + 1 - x) * la[m] - m * la[m - 1]) / (m + 1)
-    out = np.empty(count)
-    out[0] = 1.0
-    out[1:] = la[1:count] - la[: count - 1]
-    return out
+    diff = np.empty((dim, x.size))
+    diff[0] = 1.0
+    diff[1:] = la[1:dim] - la[: dim - 1]
+    return np.exp(-times)[:, None] * diff.T
+
+
+def _upper_toeplitz(row: np.ndarray) -> np.ndarray:
+    """Upper-triangular Toeplitz matrix with first row ``row``."""
+    col = np.zeros(row.size)
+    col[0] = row[0]
+    return _toeplitz(col, row)
 
 
 def semigroup_matrix(t: float, dim: int) -> np.ndarray:
@@ -233,10 +245,7 @@ def semigroup_matrix(t: float, dim: int) -> np.ndarray:
     and the spectral norm is at most one.
     """
     _require_time(t)
-    row = np.exp(-t) * _laguerre_diff(dim, 2 * t)
-    col = np.zeros(dim)
-    col[0] = row[0]
-    return _toeplitz(col, row)
+    return _upper_toeplitz(_semigroup_rows(np.array([t], dtype=float), dim)[0])
 
 
 def generator_matrix(dim: int) -> np.ndarray:

@@ -65,7 +65,9 @@ class SMatrixModel:
     are evaluated in one call and ``S`` cannot disagree with its poles.  A
     model whose pole condition is a determinant also returns its matrix from
     ``condition_matrix``; one whose sheets share work overrides
-    ``pole_conditions``, which evaluates several sheets at the same points.
+    ``pole_conditions``, which evaluates several sheets at the same points
+    (the closed-form two-sheet models take one momentum for both sheets and
+    define ``pole_condition`` as its one-sheet case).
     """
 
     name: str = "abstract"
@@ -147,19 +149,19 @@ class SMatrixModel:
         come from one FFT of ``boundary(lam, '+')`` on the ``n_theta``-point
         offset circle ``theta_k = 2 pi (k + 1/2)/n_theta``, whose aliasing is
         anti-periodic.  Near rim poles ``|S|`` reaches 1e11 on that circle, so
-        the samples and the FFT are ``np.clongdouble``.  A sample that
+        the samples are cast to ``np.clongdouble`` for the FFT.  A sample that
         overflows would make every coefficient non-finite, so then all are NaN
-        and no FFT is taken (extended-precision arithmetic on NaN is slow); the
-        caller reports it.
+        and neither the cast nor the FFT is taken (extended-precision
+        arithmetic on NaN is slow); the caller reports it.
         """
         q = np.asarray(q)
         theta = 2 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
         lam = -1.0 / np.tan(theta / 2)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            s_vals = self.boundary(lam, "+")[:, 0, 0].astype(np.clongdouble)
+            s_vals = self.boundary(lam, "+")[:, 0, 0]
             if not np.all(np.isfinite(s_vals)):
                 return np.full(q.shape, np.nan, dtype=np.clongdouble)
-            return (np.fft.fft(s_vals, norm="forward")[q % n_theta]
+            return (np.fft.fft(s_vals.astype(np.clongdouble), norm="forward")[q % n_theta]
                     * np.exp(-1j * np.pi * q.astype(np.longdouble) / n_theta))
 
     def constraint_poles(self) -> list[tuple[complex, int]]:
@@ -278,12 +280,29 @@ def example1() -> RationalModel:
 # rank-one perturbation of the half-line multiplication operator
 
 
+def _sheet_momenta(z, sheets) -> list:
+    """``momentum(z, s)`` for each of ``sheets`` from one square root.
+
+    Sheet 2's momentum is the exact negation of sheet 1's, so the values are
+    bit for bit those of one ``momentum`` call per sheet.
+    """
+    for sheet in sheets:
+        if sheet not in (1, 2):
+            raise ValueError(f"sheet must be 1 or 2, got {sheet}")
+    k = momentum(z, 1)
+    return [k if sheet == 1 else -k for sheet in sheets]
+
+
 def rankone_resolvent_elem(z: complex, sheet: int = 1) -> complex:
     """Closed form of the form-factor resolvent element ``-1/(1 - i k)^2``."""
+    return _rankone_elems(z, (sheet,))[0]
+
+
+def _rankone_elems(z, sheets) -> list:
+    """:func:`rankone_resolvent_elem` for each of ``sheets``, from one momentum."""
     if np.all(np.asarray(z) == 0):
         raise ValueError("z = 0 is the branch point")
-    k = momentum(z, sheet)
-    return -1 / (1 - 1j * k) ** 2
+    return [-1 / (1 - 1j * k) ** 2 for k in _sheet_momenta(z, sheets)]
 
 
 class RankOneModel(SMatrixModel):
@@ -305,7 +324,11 @@ class RankOneModel(SMatrixModel):
         self.name = f"rankone(a={self.a:g})"
 
     def pole_condition(self, z, sheet: int = 1):
-        return 1 - self.a * rankone_resolvent_elem(z, sheet)
+        return self.pole_conditions(z, (sheet,))[0]
+
+    def pole_conditions(self, z, sheets):
+        # both sheets from one momentum: sheet 2 is F(-k)
+        return [1 - self.a * elem for elem in _rankone_elems(z, sheets)]
 
     def scale(self):
         return abs(self.a)
@@ -334,13 +357,26 @@ def jost_F(k, v0: float, radius: float):
     ``K = sqrt(k^2 + v0)``; entire in ``k`` (only even powers of K enter) and
     equal to one for the free problem.
     """
-    k = np.asarray(k, dtype=complex)
-    ksq = k**2 + v0
-    K = np.sqrt(ksq)
+    return _jost_at([k], v0, radius)[0]
+
+
+def _jost_at(momenta: list, v0: float, radius: float) -> list:
+    """:func:`jost_F` at each of ``momenta``, which are ``k`` or ``-k`` for one ``k``.
+
+    ``K``, ``cos(Ka)`` and ``sin(Ka)/K`` are even in ``k`` (``(-k)**2`` is
+    ``k**2`` bit for bit), so they are taken once; each momentum adds its
+    ``e^{ika}`` and ``ik sin(Ka)/K``.
+    """
+    if not momenta:
+        return []
+    # arrays, also for a scalar k: the power of a numpy scalar can round differently
+    momenta = [np.asarray(k, dtype=complex) for k in momenta]
+    K = np.sqrt(momenta[0] ** 2 + v0)
     Ka = K * radius
     small = np.abs(Ka) < 1e-6
     sin_over = np.where(small, radius * (1 - Ka**2 / 6), np.sin(np.where(small, 1, Ka)) / np.where(small, 1, K))
-    return np.exp(1j * k * radius) * (np.cos(Ka) - 1j * k * sin_over)
+    cos = np.cos(Ka)
+    return [np.exp(1j * k * radius) * (cos - 1j * k * sin_over) for k in momenta]
 
 
 def jost_F_ode(k, v0: float, radius: float):
@@ -379,7 +415,11 @@ class SquareWellModel(SMatrixModel):
         self.name = f"squarewell(v0={self.v0:g}, a={self.radius:g})"
 
     def pole_condition(self, z, sheet: int = 1):
-        return jost_F(momentum(z, sheet), self.v0, self.radius)
+        return self.pole_conditions(z, (sheet,))[0]
+
+    def pole_conditions(self, z, sheets):
+        # both sheets from one momentum and one K: sheet 2 is F(-k)
+        return _jost_at(_sheet_momenta(z, sheets), self.v0, self.radius)
 
     def constraint_poles(self):
         from .finder import rim_scan  # finder imports smatrix, so a module-level import would be circular
@@ -698,8 +738,23 @@ def load_trace_csv(path) -> TraceClassData:
 MODEL_NAMES = ("example1", "rankone", "squarewell", "traceclass", "rational")
 
 
+def _is_number(value) -> bool:
+    """A JSON number (or a numpy real), not a boolean, string, list or object."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def _number(spec: dict, key: str) -> float:
+    if not _is_number(spec[key]):
+        raise ValueError(f"{key!r} must be a number, got {spec[key]!r}")
+    return float(spec[key])
+
+
 def model_from_spec(spec) -> SMatrixModel:
-    """Build a model from a parsed description ``{"model": name, ...}``, a name of ``MODEL_NAMES``."""
+    """Build a model from a parsed description ``{"model": name, ...}``, a name of ``MODEL_NAMES``.
+
+    ``a``, ``v0`` and ``radius`` must be numbers and each of ``poles`` a pair
+    ``[re, im]`` of numbers; anything else is a ``ValueError`` naming the key.
+    """
     if isinstance(spec, str):
         spec = json.loads(spec)
     if not isinstance(spec, dict) or "model" not in spec:
@@ -710,16 +765,22 @@ def model_from_spec(spec) -> SMatrixModel:
     if kind == "rankone":
         if "a" not in spec:
             raise ValueError("rankone needs the coupling 'a'")
-        return RankOneModel(float(spec["a"]))
+        return RankOneModel(_number(spec, "a"))
     if kind == "squarewell":
         if "v0" not in spec or "radius" not in spec:
             raise ValueError("squarewell needs 'v0' and 'radius'")
-        return SquareWellModel(float(spec["v0"]), float(spec["radius"]))
+        return SquareWellModel(_number(spec, "v0"), _number(spec, "radius"))
     if kind == "traceclass":
         if "file" not in spec:
             raise ValueError("traceclass needs a form-factor 'file'")
+        if not isinstance(spec["file"], str):
+            raise ValueError(f"'file' must be a path string, got {spec['file']!r}")
         return TraceClassModel(load_trace_csv(spec["file"]))
     if kind == "rational":
-        poles = [complex(p[0], p[1]) for p in spec.get("poles", [])]
-        return RationalModel(poles)
+        poles = spec.get("poles", [])
+        pairs = isinstance(poles, (list, tuple)) and all(
+            isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_number, p)) for p in poles)
+        if not pairs:
+            raise ValueError(f"'poles' must be a list of [re, im] pairs of numbers, got {poles!r}")
+        return RationalModel([complex(p[0], p[1]) for p in poles])
     raise ValueError(f"unknown model {kind!r}")

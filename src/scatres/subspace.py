@@ -25,7 +25,7 @@ from .hardy import (
     mt_synthesize,
     norm,
 )
-from .semigroup import _require_time, generator_matrix, semigroup_matrix
+from .semigroup import _require_time, _semigroup_rows, _upper_toeplitz, generator_matrix, semigroup_matrix
 from .smatrix import SMatrixModel
 
 __all__ = [
@@ -385,11 +385,13 @@ def transition_curve(f: GridFunction, times, mode: str, t_basis: SubspaceBasis |
         else:
             c, _ = _project_coefs(t_basis, f)
         u = t_basis.coefs
-        ct = u.conj().T @ c
+        uh = u.conj().T
+        ct = uh @ c
+        uct = u @ ct
         overlaps, norms = [], []
-        for t in times:
-            cmat = semigroup_matrix(t, t_basis.working_dim)
-            ev = u.conj().T @ (cmat @ (u @ ct))
+        # one Laguerre recurrence gives every time's semigroup row
+        for row in _semigroup_rows(times, t_basis.working_dim):
+            ev = uh @ (_upper_toeplitz(row) @ uct)
             overlaps.append(complex(np.vdot(ct, ev)))
             norms.append(float(np.linalg.norm(ev)))
         fnorm2 = float(np.vdot(c, c).real)

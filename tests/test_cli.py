@@ -361,6 +361,27 @@ def test_model_file_not_an_object_exit1(tmp_path, args):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["resonances", "decay"])
+@pytest.mark.parametrize("model, key", [
+    ('{"model": "rational", "poles": [[1]]}', "poles"),
+    ('{"model": "rational", "poles": [1, 2]}', "poles"),
+    ('{"model": "rational", "poles": 5}', "poles"),
+    ('{"model": "rational", "poles": [["a", "b"]]}', "poles"),
+    ('{"model": "rational", "poles": [[1, 0.5, 7]]}', "poles"),
+    ('{"model": "rankone", "a": [1]}', "a"),
+    ('{"model": "squarewell", "v0": {}, "radius": 1}', "v0"),
+    ('{"model": "squarewell", "v0": 10, "radius": true}', "radius"),
+])
+def test_malformed_model_values_exit1(runner, tmp_path, command, model, key):
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "--model", model, "--out", str(out)])
+    assert isinstance(result.exception, SystemExit)
+    assert result.exit_code == 1
+    assert result.stderr.startswith(f"error: '{key}' must be")
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["resonances", "--model", "example1", "--region", "0,2,-2,-0.05", "--sheet", "2"],
     ["resonances", "--model", "example1", "--region", "0,2,-2,-0.05", "--sheet", "0"],

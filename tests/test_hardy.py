@@ -224,6 +224,47 @@ def test_mt_coefficients_recover_span_in_any_count_order(fresh_basis_cache, n, h
         assert np.abs(got - c).max() < 1e-12
 
 
+def _fresh_coefficients(f, count):
+    """Least-squares coefficients from a basis sampled at exactly ``count`` columns, nothing kept."""
+    phi = hardy._phi_samples(f.grid.points(), count)
+    rhs = f.grid.spacing * (phi.T @ f.samples.conj()).conj()
+    row = f.grid.spacing * (phi[:, 0].conj() @ phi)
+    return np.linalg.solve(hardy._toeplitz(row.conj(), row), rhs)
+
+
+def test_gram_row_is_kept_per_grid_and_count(fresh_basis_cache, monkeypatch):
+    g = sr.make_grid(2**10, 50.0)
+    rng = np.random.default_rng(7)
+    f = sr.grid_function(g, rng.standard_normal((g.n_points, 2)) + 1j * rng.standard_normal((g.n_points, 2)))
+    products = []
+    inner = hardy._phi_matrix
+
+    def counted(grid, count):
+        products.append(count)
+        return inner(grid, count)
+
+    monkeypatch.setattr(hardy, "_phi_matrix", counted)
+    first = sr.mt_coefficients_grid(f, 20)
+    row = hardy._gram_row(g, 20)
+    again = sr.mt_coefficients_grid(f, 20)
+    # mt_coefficients_grid takes the basis once a call, the row product once in all
+    assert products == [20, 20, 20]
+    assert hardy._gram_row(g, 20) is row
+    with pytest.raises(ValueError):
+        row[0] = 0.0
+    assert np.array_equal(first, again)
+    assert np.array_equal(first, _fresh_coefficients(f, 20))
+    # a wider store keeps the narrower row, which still matches a fresh computation
+    hardy._phi_matrix(g, 48)
+    assert hardy._gram_row(g, 20) is row
+    assert np.array_equal(sr.mt_coefficients_grid(f, 20), _fresh_coefficients(f, 20))
+    assert np.array_equal(sr.mt_coefficients_grid(f, 32), _fresh_coefficients(f, 32))
+    assert sorted(hardy._phi_store(g)[1]) == [20, 32]
+    # the rows are evicted with the basis samples
+    hardy._phi_store.cache_clear()
+    assert hardy._phi_store(g)[1] == {}
+
+
 @pytest.mark.parametrize("n, half_extent, count", [
     (2**14, 400.0, 64), (2**10, 50.0, 40), (2**15, 1600.0, 48),
 ])

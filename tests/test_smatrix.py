@@ -1,6 +1,7 @@
 """Scattering-matrix models, trace-class machinery, and the Jost function."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -565,6 +566,113 @@ def test_squarewell_unitarity_and_validation():
     assert np.abs(np.abs(s) - 1).max() < 1e-12
     with pytest.raises(ValueError):
         sr.SquareWellModel(-1.0, 1.0)
+
+
+# the per-sheet evaluation that both closed-form models replaced by one momentum
+# per sample set: a square root and, for the well, K, cos(Ka) and sin(Ka)/K per sheet
+def _per_sheet_momentum(z, sheet):
+    k = 1j * np.sqrt(-np.asarray(z, dtype=complex))
+    return k if sheet == 1 else -k
+
+
+def _per_sheet_jost(k, v0, radius):
+    k = np.asarray(k, dtype=complex)
+    K = np.sqrt(k**2 + v0)
+    Ka = K * radius
+    small = np.abs(Ka) < 1e-6
+    sin_over = np.where(small, radius * (1 - Ka**2 / 6), np.sin(np.where(small, 1, Ka)) / np.where(small, 1, K))
+    return np.exp(1j * k * radius) * (np.cos(Ka) - 1j * k * sin_over)
+
+
+def _per_sheet_condition(model, z, sheet):
+    k = _per_sheet_momentum(z, sheet)
+    if isinstance(model, sr.RankOneModel):
+        return 1 - model.a * (-1 / (1 - 1j * k) ** 2)
+    return _per_sheet_jost(k, model.v0, model.radius)
+
+
+_CIRCLE_LAM = -1.0 / np.tan(np.pi * (np.arange(2**16) + 0.5) / 2**16)
+# |k| up to 1e150: exp(+-ika), cos(Ka) and the products overflow to inf and NaN
+_OVERFLOW_Z = np.array([-1e6, complex(-1e6, -0.0), 1e6j, -4e5 + 3e5j, 2e4 - 1e5j, 1e300, -1e300,
+                        1e300j, complex(-3e4, -0.0), 5e3, complex(5e3, -0.0), -1e-300, 1e-300j])
+_SIGNED_REALS = st.lists(st.tuples(st.floats(-60, 60).filter(lambda x: x != 0), st.booleans()),
+                         min_size=1, max_size=40).map(
+    lambda xs: np.array([complex(x, -0.0 if neg else 0.0) for x, neg in xs]))
+_CLOSED_FORM_MODELS = st.one_of(
+    st.tuples(st.floats(-3, 3), st.sampled_from([1, -1])).map(lambda t: sr.RankOneModel(t[1] * 10.0 ** t[0])),
+    st.tuples(st.floats(0.01, 60), st.floats(0.1, 3)).map(lambda t: sr.SquareWellModel(*t)))
+
+
+def _same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=25, deadline=None)
+@given(model=_CLOSED_FORM_MODELS, reals=_SIGNED_REALS, off=st.lists(_OFF_AXIS, min_size=1, max_size=12))
+@example(model=sr.RankOneModel(1.99), reals=np.array([-1.0 + 0j, complex(-1.0, -0.0)]), off=[1j])
+@example(model=sr.RankOneModel(-31.5), reals=np.array([4.0 + 0j, complex(4.0, -0.0)]), off=[2j])
+@example(model=sr.SquareWellModel(14.0, 0.8), reals=np.array([-13.9 + 0j]), off=[-13.9 - 1e-9j])
+@example(model=sr.SquareWellModel(0.3, 1.15), reals=np.array([complex(-0.2, -0.0)]), off=[0.5 - 2j])
+def test_pole_conditions_share_one_momentum_bit_for_bit(model, reals, off):
+    # sheet 2's momentum is the exact negation of sheet 1's, and (-k)**2 is k**2
+    # bit for bit, so one momentum (and for the well one K) gives every sheet's
+    # value exactly, inf and NaN included
+    calls, inner = [], sr.smatrix.momentum
+
+    def counted(z, sheet):
+        calls.append(sheet)
+        return inner(z, sheet)
+
+    with mock.patch.object(sr.smatrix, "momentum", counted), np.errstate(all="ignore"):
+        for z in (reals, np.array(off, dtype=complex), _CIRCLE_LAM.astype(complex), _OVERFLOW_Z):
+            for sheets in ((1, 2), (2, 1), (1,), (2,)):
+                del calls[:]
+                got = model.pole_conditions(z, sheets)
+                assert calls == [1]
+                assert len(got) == len(sheets)
+                for value, sheet in zip(got, sheets):
+                    assert _same_bits(value, _per_sheet_condition(model, z, sheet))
+            for sheet in (1, 2):
+                assert _same_bits(model.pole_condition(z, sheet), _per_sheet_condition(model, z, sheet))
+                # a scalar z takes numpy's scalar arithmetic where an array takes its loops
+                for point in z[:3]:
+                    assert _same_bits(model.pole_condition(complex(point), sheet),
+                                      _per_sheet_condition(model, complex(point), sheet))
+        assert _same_bits(sr.jost_F(_OVERFLOW_Z, 3.0, 1.5), _per_sheet_jost(_OVERFLOW_Z, 3.0, 1.5))
+
+
+@pytest.mark.parametrize("model", [sr.RankOneModel(2.0), sr.SquareWellModel(10.0, 1.0)])
+def test_pole_conditions_refusals(model):
+    for sheet in (0, 3):
+        with pytest.raises(ValueError, match="sheet must be 1 or 2"):
+            model.pole_condition(np.array([-1.0 + 0j]), sheet)
+        with pytest.raises(ValueError, match="sheet must be 1 or 2"):
+            model.pole_conditions(np.array([-1.0 + 0j]), (1, sheet))
+    if isinstance(model, sr.RankOneModel):
+        for z in (0.0, np.zeros(3)):
+            with pytest.raises(ValueError, match="branch point"):
+                model.pole_conditions(z, (1, 2))
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"model": "rational", "poles": [[1]]}, "poles"),
+    ({"model": "rational", "poles": [1, 2]}, "poles"),
+    ({"model": "rational", "poles": 5}, "poles"),
+    ({"model": "rational", "poles": [["a", "b"]]}, "poles"),
+    ({"model": "rational", "poles": [[1, 0.5, 7]]}, "poles"),
+    ({"model": "rational", "poles": [[True, 1]]}, "poles"),
+    ({"model": "rational", "poles": {"re": 1}}, "poles"),
+    ({"model": "rankone", "a": [1]}, "a"),
+    ({"model": "rankone", "a": True}, "a"),
+    ({"model": "rankone", "a": "2"}, "a"),
+    ({"model": "squarewell", "v0": {}, "radius": 1}, "v0"),
+    ({"model": "squarewell", "v0": 10, "radius": None}, "radius"),
+    ({"model": "traceclass", "file": 5}, "file"),
+])
+def test_model_from_spec_refuses_malformed_values(spec, key):
+    with pytest.raises(ValueError, match=f"'{key}' must be"):
+        sr.model_from_spec(spec)
 
 
 def test_model_from_spec():

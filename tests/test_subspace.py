@@ -435,6 +435,42 @@ def test_transition_curve_unitary_phases_factor_exactly(n, half_extent):
     direct = [np.dot(np.exp(-1j * t * lam), weights) for t in times]
     assert np.abs(curve.overlaps - direct).max() <= 1e-14
 
+
+def _per_time_semigroup_matrix(t, dim):
+    """The semigroup matrix from a scalar Laguerre recurrence at one time."""
+    x = 2 * t
+    la = np.empty(dim + 1)
+    la[0], la[1] = 1.0, 1.0 - x
+    for m in range(1, dim):
+        la[m + 1] = ((2 * m + 1 - x) * la[m] - m * la[m - 1]) / (m + 1)
+    row = np.exp(-t) * np.concatenate([[1.0], la[1:dim] - la[: dim - 1]])
+    return np.triu(row[np.maximum(np.arange(dim) - np.arange(dim)[:, None], 0)])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 33])
+@pytest.mark.parametrize("times", [[0.0], [1.3], [0.0, 0.1, 0.1, 0.5, 3.0, 3.0], [0.1 * i for i in range(31)]])
+def test_decay_curve_matches_per_time_semigroup_loop(grid, monkeypatch, dim, times):
+    # one recurrence over every time and a hoisted u @ ct give the overlaps and
+    # norms of a loop that builds each time's matrix and product afresh
+    rng = np.random.default_rng(dim)
+    shape = (dim, max(1, dim // 2))
+    u, _ = np.linalg.qr(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    tb = subspace.SubspaceBasis(role="T", grid=grid, coefs=u, model=sr.example1(), params={}, diagnostics={})
+    f = sr.mt_synthesize(rng.normal(size=dim) + 1j * rng.normal(size=dim), grid)
+    calls = []
+    monkeypatch.setattr(subspace, "semigroup_matrix", lambda *args: calls.append(args))
+    curve = sr.transition_curve(f, times, "decay", t_basis=tb)
+    assert calls == []
+    c = sr.mt_coefficients_grid(f, dim)[:, 0]
+    ct = u.conj().T @ c
+    for t, overlap, norm in zip(times, curve.overlaps, curve.norms):
+        cmat = _per_time_semigroup_matrix(t, dim)
+        assert np.array_equal(cmat, sr.semigroup_matrix(t, dim))
+        ev = u.conj().T @ (cmat @ (u @ ct))
+        assert overlap == complex(np.vdot(ct, ev))
+        assert norm == float(np.linalg.norm(ev))
+
+
 def test_transition_curve_validation(ex1_bases, grid):
     _, _, _, tb = ex1_bases
     e = sr.gamov(ZETA, 1.0, grid)
