@@ -169,8 +169,8 @@ def cmd_resonances(model, a, v0, radius, region, sheet, out_dir):
 
 @main.command("decay")
 @_model_options
-@click.option("--grid-n", type=int, default=2**14, show_default=True)
-@click.option("--grid-l", type=float, default=400.0, show_default=True)
+@click.option("--grid-n", type=int, default=verify.DEFAULT_GRID[0], show_default=True)
+@click.option("--grid-l", type=float, default=verify.DEFAULT_GRID[1], show_default=True)
 @click.option("--basis-n", type=int, default=48, show_default=True)
 @click.option("--times", default="0:3:0.1", show_default=True, help="time grid t0:t1:dt")
 @click.option("--out", "out_dir", default=".", show_default=True)

@@ -1,7 +1,7 @@
 """Concrete scattering matrices with analytic continuation across the positive
 half axis: a rational one-sheet family, the rank-one perturbation of the
-half-line multiplication operator, the square-well model built from its Jost
-function, and a generic trace-class construction driven by form factors.
+half-line multiplication operator and the square well, both given by their
+Jost functions, and a generic trace-class construction driven by form factors.
 
 Sheet convention: sheet 1 carries ``Im sqrt(z) > 0`` (momentum ``i*sqrt(-z)``),
 sheet 2 its negation.  Real inputs are treated as approached from above, so
@@ -24,6 +24,7 @@ __all__ = [
     "SMatrixModel",
     "RationalModel",
     "example1",
+    "JostModel",
     "RankOneModel",
     "SquareWellModel",
     "TraceClassModel",
@@ -59,15 +60,15 @@ def momentum(z, sheet: int):
 class SMatrixModel:
     """Evaluation contract for a scattering matrix on labeled sheets.
 
-    A model defines only ``pole_condition``, which takes a scalar or an array
-    ``z`` and returns an array of shape ``z.shape``; the scattering matrix
-    ``eval`` is derived from it, so scan grids, contours and boundary samples
-    are evaluated in one call and ``S`` cannot disagree with its poles.  A
-    model whose pole condition is a determinant also returns its matrix from
-    ``condition_matrix``; one whose sheets share work overrides
-    ``pole_conditions``, which evaluates several sheets at the same points
-    (the closed-form two-sheet models take one momentum for both sheets and
-    define ``pole_condition`` as its one-sheet case).
+    Every model evaluates on a scalar or an array ``z`` and returns an array
+    of shape ``z.shape``, so scan grids, contours and boundary samples are
+    evaluated in one call, and ``eval`` derives ``S`` from the poles, so the
+    two cannot disagree.  One-sheet models and trace-class data define
+    ``pole_condition``: ``1/S`` for a one-sheet model, ``det L`` for
+    trace-class data, which also returns ``L`` from ``condition_matrix`` and
+    takes one quadrature for all sheets in ``pole_conditions``.  The two-sheet
+    closed forms are :class:`JostModel`s: they define the Jost function
+    ``jost(momenta)`` and their declared rim poles, and ``S(k) = F(-k)/F(k)``.
     """
 
     name: str = "abstract"
@@ -250,8 +251,8 @@ class RationalModel(SMatrixModel):
 
 
 def _poly_in_t(factors) -> np.ndarray:
-    """``prod(a + b t)`` over the factors ``(a, b)``, increasing powers of t."""
-    poly = np.ones(1, dtype=np.clongdouble)
+    """``prod(a + b t)`` over the factors ``(a, b)``, increasing powers of t, in the factors' precision."""
+    poly = np.ones(1, dtype=complex)
     for a, b in factors:
         poly = np.convolve(poly, [a, b])
     return poly
@@ -277,58 +278,85 @@ def example1() -> RationalModel:
 
 
 # ---------------------------------------------------------------------------
-# rank-one perturbation of the half-line multiplication operator
+# two-sheet models given by a Jost function of the momentum
 
 
-def _sheet_momenta(z, sheets) -> list:
-    """``momentum(z, s)`` for each of ``sheets`` from one square root.
+class JostModel(SMatrixModel):
+    """Two-sheet model given by its Jost function ``F(k)``, so ``S(k) = F(-k)/F(k)``.
 
-    Sheet 2's momentum is the exact negation of sheet 1's, so the values are
-    bit for bit those of one ``momentum`` call per sheet.
-    """
-    for sheet in sheets:
-        if sheet not in (1, 2):
-            raise ValueError(f"sheet must be 1 or 2, got {sheet}")
-    k = momentum(z, 1)
-    return [k if sheet == 1 else -k for sheet in sheets]
-
-
-def rankone_resolvent_elem(z: complex, sheet: int = 1) -> complex:
-    """Closed form of the form-factor resolvent element ``-1/(1 - i k)^2``."""
-    return _rankone_elems(z, (sheet,))[0]
-
-
-def _rankone_elems(z, sheets) -> list:
-    """:func:`rankone_resolvent_elem` for each of ``sheets``, from one momentum."""
-    if np.all(np.asarray(z) == 0):
-        raise ValueError("z = 0 is the branch point")
-    return [-1 / (1 - 1j * k) ** 2 for k in _sheet_momenta(z, sheets)]
-
-
-class RankOneModel(SMatrixModel):
-    """Scalar two-sheeted model of a rank-one coupling with strength ``a``.
-
-    The pole condition is ``1 + a/(1 - ik)^2`` in the momentum ``k`` of the
-    chosen sheet; eigenvalues and resonances solve ``(1 - ik)^2 + a = 0``, and
-    the derived ``S`` equals ``1 - 4iak / ((1+ik)^2 (a + (1-ik)^2))``.
+    Sheet 1 takes the momentum ``k = momentum(z, 1)`` and sheet 2 its exact
+    negation ``-k``, so one square root serves every sheet and the values are
+    bit for bit those of one ``momentum`` call per sheet.  A model defines
+    ``jost(momenta)``, the values of ``F`` at each of ``momenta`` (``k`` or
+    ``-k`` for one ``k``); ``depth``, its bound states lying in
+    ``[-depth, 0)``; and ``rim_poles``, the (position, order) poles of
+    ``F(-k)`` on sheet 1's negative axis, which ``S`` has besides the zeros
+    of ``F(k)``.
     """
 
     sheet_count = 2
     dim_k = 1
+    rim_poles: tuple = ()
+    depth: float
+
+    def jost(self, momenta: list) -> list:
+        """``F`` at each of ``momenta``, as a list."""
+        raise NotImplementedError
+
+    def pole_condition(self, z, sheet: int = 1):
+        return self.pole_conditions(z, (sheet,))[0]
+
+    def pole_conditions(self, z, sheets):
+        for sheet in sheets:
+            if sheet not in (1, 2):
+                raise ValueError(f"sheet must be 1 or 2, got {sheet}")
+        k = momentum(z, 1)
+        return self.jost([k if sheet == 1 else -k for sheet in sheets])
+
+    def constraint_poles(self):
+        from .finder import rim_scan  # finder imports smatrix, so a module-level import would be circular
+
+        bound = rim_scan(self, -self.depth, 0.0, 1)
+        return sorted(list(self.rim_poles) + [(r.zeta.real, 1) for r in bound])
+
+
+# ---------------------------------------------------------------------------
+# rank-one perturbation of the half-line multiplication operator
+
+
+def rankone_resolvent_elem(z: complex, sheet: int = 1) -> complex:
+    """Closed form of the form-factor resolvent element ``-1/(1 - i k)^2``."""
+    return _resolvent_elem(momentum(z, sheet))
+
+
+def _resolvent_elem(k):
+    """:func:`rankone_resolvent_elem` at the momentum ``k``; ``k = 0`` is ``z = 0`` and raises."""
+    if np.all(k == 0):
+        raise ValueError("z = 0 is the branch point")
+    return -1 / (1 - 1j * k) ** 2
+
+
+class RankOneModel(JostModel):
+    """Scalar two-sheeted model of a rank-one coupling with strength ``a``.
+
+    The Jost function is ``1 + a/(1 - ik)^2``; eigenvalues and resonances
+    solve ``(1 - ik)^2 + a = 0``, and ``S`` equals
+    ``1 - 4iak / ((1+ik)^2 (a + (1-ik)^2))``.  The form factor has a double
+    pole at ``z = -1`` on every sheet's rim; bound states lie in ``[-|a|, 0)``.
+    """
+
+    rim_poles = ((-1.0, 2),)
 
     def __init__(self, a: float):
         a = float(a)
         if a == 0 or not np.isfinite(a):
             raise ValueError(f"coupling a must be finite and nonzero, got {a}")
         self.a = a
+        self.depth = abs(a)
         self.name = f"rankone(a={self.a:g})"
 
-    def pole_condition(self, z, sheet: int = 1):
-        return self.pole_conditions(z, (sheet,))[0]
-
-    def pole_conditions(self, z, sheets):
-        # both sheets from one momentum: sheet 2 is F(-k)
-        return [1 - self.a * elem for elem in _rankone_elems(z, sheets)]
+    def jost(self, momenta):
+        return [1 - self.a * _resolvent_elem(k) for k in momenta]
 
     def scale(self):
         return abs(self.a)
@@ -338,16 +366,9 @@ class RankOneModel(SMatrixModel):
         root = np.sqrt(complex(-self.a))
         return [-1j * (1 - root), -1j * (1 + root)]
 
-    def constraint_poles(self):
-        from .finder import rim_scan  # finder imports smatrix, so a module-level import would be circular
-
-        # double pole of the form factor at z = -1 on every sheet's rim; bound states lie in [-|a|, 0)
-        bound = rim_scan(self, -abs(self.a), 0.0, 1)
-        return sorted([(-1.0, 2)] + [(r.zeta.real, 1) for r in bound])
-
 
 # ---------------------------------------------------------------------------
-# square well (zero angular momentum) via the Jost function
+# square well (zero angular momentum)
 
 
 def jost_F(k, v0: float, radius: float):
@@ -400,11 +421,11 @@ def jost_F_ode(k, v0: float, radius: float):
     return complex(out) if out.ndim == 0 else out
 
 
-class SquareWellModel(SMatrixModel):
-    """Zero-angular-momentum scattering off an attractive well of compact support."""
+class SquareWellModel(JostModel):
+    """Zero-angular-momentum scattering off an attractive well of compact support.
 
-    sheet_count = 2
-    dim_k = 1
+    The Jost function is :func:`jost_F`; bound states lie in ``[-v0, 0)``.
+    """
 
     def __init__(self, v0: float, radius: float):
         v0, radius = float(v0), float(radius)
@@ -412,20 +433,11 @@ class SquareWellModel(SMatrixModel):
             raise ValueError(f"well depth and radius must be positive and finite, got {v0}, {radius}")
         self.v0 = v0
         self.radius = radius
+        self.depth = v0
         self.name = f"squarewell(v0={self.v0:g}, a={self.radius:g})"
 
-    def pole_condition(self, z, sheet: int = 1):
-        return self.pole_conditions(z, (sheet,))[0]
-
-    def pole_conditions(self, z, sheets):
-        # both sheets from one momentum and one K: sheet 2 is F(-k)
-        return _jost_at(_sheet_momenta(z, sheets), self.v0, self.radius)
-
-    def constraint_poles(self):
-        from .finder import rim_scan  # finder imports smatrix, so a module-level import would be circular
-
-        # bound states lie in [-v0, 0); ascending
-        return [(r.zeta.real, 1) for r in rim_scan(self, -self.v0, 0.0, 1)]
+    def jost(self, momenta):
+        return _jost_at(momenta, self.v0, self.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +706,8 @@ def load_trace_csv(path) -> TraceClassData:
 
     Raises ``ValueError`` for a file without data rows, a column name that is
     not of this form or repeats, an index that is not a non-negative integer,
-    and a row whose cell count differs from the header's.
+    a row whose cell count differs from the header's, and a cell that is not a
+    finite number (named by its row and column).
     """
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
@@ -719,6 +732,10 @@ def load_trace_csv(path) -> TraceClassData:
         if len(row) != len(header):
             raise ValueError(f"row {n} has {len(row)} cells, the header {len(header)}")
     body = np.array([[float(v) for v in row] for row in rows[1:]])
+    bad = np.argwhere(~np.isfinite(body))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(f"row {r + 2}, column {header[c]!r}: {rows[r + 1][c].strip()!r} is not a finite number")
     lam = body[:, 0]
     if np.any(np.diff(lam) <= 0) or lam[0] < 0:
         raise ValueError("energies must be positive and strictly increasing")

@@ -26,7 +26,7 @@ from .hardy import (
     norm,
 )
 from .semigroup import _require_time, _semigroup_rows, _upper_toeplitz, generator_matrix, semigroup_matrix
-from .smatrix import SMatrixModel
+from .smatrix import SMatrixModel, _poly_in_t
 
 __all__ = [
     "SubspaceBasis",
@@ -83,20 +83,6 @@ def _require_scalar(model: SMatrixModel):
         raise NotImplementedError("subspace construction is implemented for multiplicity one")
 
 
-def _constraint_polynomial(factors: list[tuple[complex, int]]) -> np.ndarray:
-    """The multiplier ``P = prod((lam - p)/(lam + i))^{g_p}`` as a polynomial in t.
-
-    In ``t = (lam - i)/(lam + i)`` each factor ``(lam - p)/(lam + i)`` is the
-    linear polynomial ``((i - p) + (i + p) t)/(2i)``; the coefficients come in
-    increasing powers of t.
-    """
-    poly = np.ones(1, dtype=complex)
-    for pos, g in factors:
-        for _ in range(g):
-            poly = np.convolve(poly, [(1j - pos) / 2j, (1j + pos) / 2j])
-    return poly
-
-
 def build_N_basis(model: SMatrixModel, n: int, mode: str, grid: Grid) -> SubspaceBasis:
     """Constrained subspace inside the working truncation.
 
@@ -123,7 +109,8 @@ def build_N_basis(model: SMatrixModel, n: int, mode: str, grid: Grid) -> Subspac
     factors = [(complex(pos), int(g)) for pos, g in model.constraint_poles()]
     if mode == "rim_poles" and any(pos.real >= 0 for pos, _ in factors):
         raise ValueError("rim poles must sit on the negative axis")
-    poly = _constraint_polynomial(factors)
+    # each factor (lam - p)/(lam + i) is ((i - p) + (i + p) t)/(2i) in t
+    poly = _poly_in_t(((1j - pos) / 2j, (1j + pos) / 2j) for pos, g in factors for _ in range(g))
     g_total = poly.size - 1
     d_work = n + g_total
     cols = np.zeros((d_work, n), dtype=complex)
@@ -135,7 +122,7 @@ def build_N_basis(model: SMatrixModel, n: int, mode: str, grid: Grid) -> Subspac
         grid=grid,
         coefs=q,
         model=model,
-        params={"n": n, "mode": mode, "constraints": factors, "order": g_total},
+        params={"n": n, "mode": mode, "constraints": factors, "order": g_total, "multiplier": poly},
         diagnostics={"working_dim": d_work},
     )
 
@@ -245,7 +232,7 @@ def _continuation_below(t_basis: SubspaceBasis, g: GridFunction, z: complex) -> 
     """
     model = t_basis.model
     lam = t_basis.grid.points()
-    poly = _constraint_polynomial(t_basis.params["constraints"])
+    poly = t_basis.params["multiplier"]
 
     def multiplier(x):
         return np.polynomial.polynomial.polyval((x - 1j) / (x + 1j), poly)

@@ -1,6 +1,6 @@
 """Machine-checkable invariant suites behind the ``verify`` command.
 
-Each suite runs on the default grid (2^14 points, half extent 400) and returns
+Each suite runs on ``DEFAULT_GRID``, also the default grid of ``decay``, and returns
 a list of check records ``{check, measured, tolerance, pass}``; the tolerances
 are the ones written here.
 """
@@ -14,7 +14,7 @@ from .hardy import GridFunction, cauchy_eval, fourier, inner, make_grid, mt_basi
 
 __all__ = ["run_suite", "SUITES"]
 
-DEFAULT_GRID = (2**14, 400.0)
+DEFAULT_GRID = (2**14, 400.0)  # points and half extent
 
 
 def _check(name, measured, tol):

@@ -1,6 +1,7 @@
 """Command-line contract: files, exit codes, determinism."""
 
 import json
+import types
 
 import numpy as np
 import pytest
@@ -218,6 +219,15 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_package_exports_exactly_the_modules_all():
+    modules = (scatres.hardy, scatres.semigroup, scatres.smatrix, scatres.finder, scatres.subspace)
+    exported = {name for name, value in vars(scatres).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert exported == set().union(*(m.__all__ for m in modules))
+    for module in modules:
+        assert all(getattr(scatres, name) is getattr(module, name) for name in module.__all__)
+
+
 def _write_trace_csv(path, a):
     data = scatres.rankone_trace_data(a)
     rows = ["lambda,re_a_0_0,im_a_0_0,re_b_0_0,im_b_0_0"]
@@ -256,6 +266,27 @@ def test_resonances_csv_user_region_scans_its_sheet_only(tmp_path):
     rows = json.loads((tmp_path / "out" / "poles.json").read_text())["resonances"]
     assert [(r["sheet"], r["kind"]) for r in rows] == [(1, "bound_state")]
     assert abs(rows[0]["re_zeta"] - (-(3 - 2 * np.sqrt(2)))) < 5e-3
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("column", [0, 1, 3], ids=["lambda", "re_a", "re_b"])
+def test_resonances_nonfinite_csv_cell_exit1(runner, tmp_path, value, column):
+    # the loader refuses a non-finite cell by row and column before any scan,
+    # so no empty table, no scan failure and no poles file
+    path = tmp_path / "factors.csv"
+    _write_trace_csv(path, -2.0)
+    lines = path.read_text().splitlines()
+    cells = lines[-1].split(",")
+    cells[column] = value
+    lines[-1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    spec = json.dumps({"model": "traceclass", "file": str(path)})
+    result = runner.invoke(main, ["resonances", "--model", spec, "--region=-6,-0.01,0.01,3",
+                                  "--sheet", "1", "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    name = lines[0].split(",")[column]
+    assert result.stderr.startswith(f"error: row {len(lines)}, column {name!r}: {value!r}")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("a, expected", [

@@ -655,6 +655,21 @@ def test_pole_conditions_refusals(model):
                 model.pole_conditions(z, (1, 2))
 
 
+@settings(max_examples=60, deadline=None)
+@given(model=_CLOSED_FORM_MODELS,
+       ks=st.lists(st.floats(-50, 50).filter(lambda x: abs(x) >= 1e-6), min_size=1, max_size=20))
+def test_jost_models_are_unitary_at_real_momenta(model, ks):
+    # S(k) = F(-k)/F(k) from the Jost function alone: unimodular at real k,
+    # S(k) S(-k) = 1, and the sheet-1 S at the energy k^2 (+ i0), whose momentum is |k|
+    k = np.array(ks, dtype=complex)
+    f_k, f_minus = model.jost([k, -k])
+    s, s_minus = f_minus / f_k, f_k / f_minus
+    assert np.abs(np.abs(s) - 1).max() < 1e-12
+    assert np.abs(s * s_minus - 1).max() < 1e-12
+    s_at_abs = np.where(k.real > 0, s, s_minus)
+    assert np.abs(model.eval(k.real**2, 1)[:, 0, 0] - s_at_abs).max() < 1e-12
+
+
 @pytest.mark.parametrize("spec, key", [
     ({"model": "rational", "poles": [[1]]}, "poles"),
     ({"model": "rational", "poles": [1, 2]}, "poles"),
