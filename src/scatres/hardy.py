@@ -279,6 +279,16 @@ def mt_basis(j: int, grid: Grid, m: int = 1, component: int = 0) -> GridFunction
     return GridFunction(grid, samples)
 
 
+@lru_cache(maxsize=4)
+def _circle_nodes(n_theta: int) -> np.ndarray:
+    """Read-only nodes ``lam_k = -cot(theta_k/2)`` of the ``n_theta``-point offset circle
+    ``theta_k = 2 pi (k + 1/2)/n_theta``, computed once per ``n_theta``."""
+    theta = 2 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
+    lam = -1.0 / np.tan(theta / 2)
+    lam.flags.writeable = False
+    return lam
+
+
 def mt_expand(fn, count: int, n_theta: int = 2**16) -> np.ndarray:
     """Basis coefficients of a callable ``fn(lam)`` by FFT on the circle.
 
@@ -288,8 +298,7 @@ def mt_expand(fn, count: int, n_theta: int = 2**16) -> np.ndarray:
     functions with all poles at ``-i``; accuracy for general boundary data is
     set by its smoothness on the circle.
     """
-    theta = 2 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
-    lam = -1.0 / np.tan(theta / 2)
+    lam = _circle_nodes(n_theta)
     w = np.sqrt(np.pi) * (lam + 1j) * fn(lam)
     coef = np.fft.fft(w) / n_theta
     k = np.arange(count)

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .hardy import _circle_nodes
+
 __all__ = [
     "momentum",
     "SMatrixModel",
@@ -42,6 +44,7 @@ __all__ = [
 
 _RANKONE_K_MAX = 2000.0  # momentum cutoff of the rank-one quadrature
 _ODE_STEPS = 4000  # RK4 steps of jost_F_ode across the well
+_SPIKE_BOUND = 2.0**20  # |S| above which a circle sample is summed in extended precision
 
 
 def momentum(z, sheet: int):
@@ -147,23 +150,33 @@ class SMatrixModel:
         """Circle coefficients ``s_q`` of ``S(lam + i0) = sum_q s_q t^q``, one per entry of ``q``.
 
         On the unit circle ``t = (lam - i)/(lam + i) = e^{i theta}``.  Here they
-        come from one FFT of ``boundary(lam, '+')`` on the ``n_theta``-point
-        offset circle ``theta_k = 2 pi (k + 1/2)/n_theta``, whose aliasing is
-        anti-periodic.  Near rim poles ``|S|`` reaches 1e11 on that circle, so
-        the samples are cast to ``np.clongdouble`` for the FFT.  A sample that
-        overflows would make every coefficient non-finite, so then all are NaN
-        and neither the cast nor the FFT is taken (extended-precision
+        come from the discrete Fourier sums of ``boundary(lam, '+')`` on the
+        ``n_theta``-point offset circle ``theta_k = 2 pi (k + 1/2)/n_theta``,
+        whose aliasing is anti-periodic.  Near rim poles ``|S|`` reaches 1e11
+        on that circle (a square well's upper rim grows without bound), and an
+        FFT's roundoff scales with ``eps`` times the norm of its input, so the
+        samples are split at ``|S| = _SPIKE_BOUND`` (2^20): the bounded bulk
+        takes one double FFT, and the samples above the bound (at most 652 for
+        rank-one ``a = k/4``, |a| <= 10, and 1609 for a deep well) are summed
+        directly in ``np.clongdouble`` for the requested ``q`` only
+        (``_spike_sums``).  Every sample enters exactly one of the two sums.
+        A sample that overflows would make every coefficient non-finite, so
+        then all are NaN and neither sum is taken (extended-precision
         arithmetic on NaN is slow); the caller reports it.
         """
         q = np.asarray(q)
-        theta = 2 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
-        lam = -1.0 / np.tan(theta / 2)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            s_vals = self.boundary(lam, "+")[:, 0, 0]
+            s_vals = self.boundary(_circle_nodes(n_theta), "+")[:, 0, 0]
             if not np.all(np.isfinite(s_vals)):
                 return np.full(q.shape, np.nan, dtype=np.clongdouble)
-            return (np.fft.fft(s_vals.astype(np.clongdouble), norm="forward")[q % n_theta]
-                    * np.exp(-1j * np.pi * q.astype(np.longdouble) / n_theta))
+            spikes = np.flatnonzero(np.abs(s_vals) > _SPIKE_BOUND)
+            spike_vals = s_vals[spikes]
+            s_vals[spikes] = 0.0  # boundary returns a fresh array
+            coefs = np.fft.fft(s_vals, norm="forward")[q % n_theta].astype(np.clongdouble)
+            if spikes.size and q.size:
+                lo = q.min()
+                coefs += _spike_sums(spike_vals, spikes, lo, q.max() - lo + 1, n_theta)[q - lo]
+            return coefs * np.exp(-1j * np.pi * q.astype(np.longdouble) / n_theta)
 
     def constraint_poles(self) -> list[tuple[complex, int]]:
         """Poles of ``S(lam + i0)`` continued into the closed upper half plane, as
@@ -174,6 +187,23 @@ class SMatrixModel:
     def scale(self) -> float:
         """Coupling strength that sets how far the default pole scan reaches; 0 for the fixed reach."""
         return 0.0
+
+
+def _spike_sums(values, k, q_lo: int, count: int, n_theta: int) -> np.ndarray:
+    """``sum_j values_j e^{-2 pi i q k_j/n_theta}/n_theta`` for ``q = q_lo .. q_lo + count - 1``.
+
+    Runs in ``np.clongdouble`` with one twiddle per sample, advanced by a
+    running product from ``q`` to ``q + 1``, so memory stays O(len(k)).
+    """
+    two_pi_over_n = 8 * np.arctan(np.longdouble(1)) / n_theta
+    step = np.exp(-1j * two_pi_over_n * k.astype(np.longdouble))
+    terms = (values.astype(np.clongdouble) / n_theta
+             * np.exp(-1j * two_pi_over_n * ((q_lo * k) % n_theta).astype(np.longdouble)))
+    out = np.empty(count, dtype=np.clongdouble)
+    for j in range(count):
+        out[j] = terms.sum()
+        terms *= step
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -559,6 +559,42 @@ def test_rational_circle_coefficients_match_the_fft(poles, repeat):
     fft = sr.SMatrixModel.circle_coefficients(model, q, 2**16)
     assert np.abs(exact - fft).max() <= 1e-13
 
+
+def _extended_fft_coefficients(model, q, n_theta=2**16):
+    """One ``np.clongdouble`` FFT of every offset-circle sample of S, with the half-sample phase."""
+    theta = 2 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        s_vals = model.boundary(-1.0 / np.tan(theta / 2), "+")[:, 0, 0]
+    return (np.fft.fft(s_vals.astype(np.clongdouble), norm="forward")[q % n_theta]
+            * np.exp(-1j * np.pi * q.astype(np.longdouble) / n_theta))
+
+
+@settings(max_examples=30, deadline=None)
+@given(model=st.tuples(st.floats(-2, 1.5), st.sampled_from([1.0, -1.0])).map(
+           lambda t: sr.RankOneModel(t[1] * 10.0 ** t[0])),
+       d=st.integers(1, 64))
+# the largest spike set seen (1609 samples above 2^20, max|S| 1.1e305), and a
+# weak well whose S·N is finite but whose norms overflow
+@example(model=sr.SquareWellModel(36.46, 1.74), d=64)
+@example(model=sr.SquareWellModel(36.46, 1.74), d=2)
+@example(model=sr.SquareWellModel(0.2611561959275361, 1.2130020693182535), d=50)
+def test_two_sheet_circle_coefficients_match_extended_fft(model, d):
+    q = np.arange(-2 * (d - 1), d)
+    dtypes = []
+    fft = np.fft.fft
+
+    def recording_fft(a, *args, **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return fft(a, *args, **kwargs)
+
+    with mock.patch.object(np.fft, "fft", recording_fft):
+        coefs = model.circle_coefficients(q, 2**16)
+    # the bounded bulk takes one double FFT; the spikes are summed directly
+    assert dtypes == [np.dtype(complex)]
+    ref = _extended_fft_coefficients(model, q)
+    assert np.abs(coefs - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_squarewell_unitarity_and_validation():
     well = sr.SquareWellModel(10.0, 1.0)
     lams = np.logspace(-3, 3, 200)

@@ -5,12 +5,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scatres as sr
 from conftest import lower_cauchy_leak
-from scatres import subspace
+from scatres import smatrix, subspace
 
 ZETA = 1 - 1j
 SQ2 = np.sqrt(2.0)
@@ -141,6 +141,11 @@ _COUPLING = st.integers(-40, 40).filter(lambda k: k not in (0, -16))
 
 @settings(max_examples=25, deadline=None)
 @given(poles=_POLES, k=_COUPLING, n=st.integers(1, 12), use_rankone=st.booleans())
+# the strong couplings of the decay benchmark, beyond the strategy's |a| <= 10
+@example(poles=[], k=64, n=12, use_rankone=True)
+@example(poles=[], k=109, n=12, use_rankone=True)
+@example(poles=[], k=-76, n=12, use_rankone=True)
+@example(poles=[], k=-117, n=12, use_rankone=True)
 def test_M_and_T_matches_circle_reference(grid, poles, k, n, use_rankone):
     if use_rankone:
         # S grows near the rim poles, which amplifies roundoff in either construction
@@ -174,7 +179,8 @@ def test_rational_M_and_T_never_sample_S(grid, monkeypatch):
 
 def test_overflowing_S_raises_before_fft_and_product(grid, monkeypatch):
     # S of this weak well overflows on the circle: every coefficient is then
-    # NaN, and neither the extended-precision FFT nor the Toeplitz product runs
+    # NaN, and neither the circle FFT, the extended-precision spike sums nor the
+    # Toeplitz product runs
     model = sr.SquareWellModel(0.2211524855348381, 1.9838212674034716)
     nb = sr.build_N_basis(model, 12, "rim_poles", grid)
 
@@ -182,6 +188,7 @@ def test_overflowing_S_raises_before_fft_and_product(grid, monkeypatch):
         raise AssertionError("non-finite circle samples reached the FFT or the product")
 
     monkeypatch.setattr(np.fft, "fft", refuse)
+    monkeypatch.setattr(smatrix, "_spike_sums", refuse)
     monkeypatch.setattr(subspace, "_toeplitz", refuse)
     assert np.isnan(model.circle_coefficients(np.arange(-4, 4), 2**16)).all()
     with pytest.raises(FloatingPointError, match="S·N overflows"):
