@@ -178,8 +178,10 @@ class _TailCache:
         lam = grid.points()
         self.grid = grid
         self.lam = lam
-        # wide symmetric fit bands, away from the outermost samples
-        band = np.unique(np.linspace(max(1, n // 100), n // 5, 24).astype(int))
+        # wide symmetric fit bands, away from the outermost samples; the sorted
+        # indices drop their repeats by a neighbour test (np.unique loads numpy.ma)
+        band = np.linspace(max(1, n // 100), n // 5, 24).astype(int)
+        band = band[np.r_[True, band[1:] != band[:-1]]]
         self.idx = np.r_[band, n - 1 - band]
         basis = np.stack(
             [np.ones(self.idx.size), L / lam[self.idx], (L / lam[self.idx]) ** 2], axis=1
@@ -259,9 +261,15 @@ def _phi_store(grid: Grid) -> list:
 
 
 def _phi_matrix(grid: Grid, count: int) -> np.ndarray:
-    """First ``count`` basis columns: a read-only prefix of the grid's widest."""
+    """First ``count`` basis columns: a read-only prefix of the grid's widest.
+
+    A wider count replaces the store: the narrower one is released (to a
+    fresh empty array, since a zero-width view would keep its buffer alive)
+    before the wider one is sampled, so the two are never held together.
+    """
     store = _phi_store(grid)
     if store[0].shape[1] < count:
+        store[0] = np.empty((grid.n_points, 0), dtype=complex, order="F")
         store[0] = _phi_samples(grid.points(), count)
         store[0].flags.writeable = False
     return store[0] if store[0].shape[1] == count else store[0][:, :count]

@@ -343,6 +343,39 @@ class JostModel(SMatrixModel):
         k = momentum(z, 1)
         return self.jost([k if sheet == 1 else -k for sheet in sheets])
 
+    def boundary(self, lam, side: str = "+") -> np.ndarray:
+        """Boundary values of :meth:`SMatrixModel.boundary`, bit for bit, from one Jost value per positive energy.
+
+        For a real potential ``F(-k) = conj F(k)`` at real ``k``, so at
+        ``lam > 0`` one ``jost`` call at the real root ``k = sqrt(lam)`` gives
+        ``S = conj(F)/F`` on side '+' and ``F/conj(F)`` on side '-'.  Only
+        where a part of ``F`` is zero, a signed zero the conjugate need not
+        match, is ``F(-k)`` evaluated itself.  At ``lam < 0`` the momenta are
+        ``+-i kappa`` with the real root ``kappa = sqrt(-lam)``, and ``S`` is
+        ``F(-i kappa)/F(i kappa)`` on side '+' and its reciprocal on side '-'.
+        ``lam = 0`` is read at ``1e-12``.  An empty half takes no ``jost`` call.
+        """
+        if side not in ("+", "-"):
+            raise ValueError(f"side must be '+' or '-', got {side!r}")
+        lam = np.atleast_1d(np.asarray(lam, dtype=float))
+        lam = np.where(lam == 0.0, 1e-12, lam)
+        out = np.empty(lam.shape, dtype=complex)
+        pos = lam > 0
+        if pos.any():
+            k = np.sqrt(lam[pos]).astype(complex)
+            (f,) = self.jost([k])
+            f_minus = np.conj(f)
+            signed = np.flatnonzero((f.real == 0) | (f.imag == 0))
+            if signed.size:
+                f_minus[signed] = self.jost([-k[signed]])[0]
+            out[pos] = f_minus / f if side == "+" else f / f_minus
+        neg = ~pos
+        if neg.any():
+            k = 1j * np.sqrt(-lam[neg])
+            f_minus, f_plus = self.jost([-k, k])
+            out[neg] = f_minus / f_plus if side == "+" else f_plus / f_minus
+        return out.reshape(lam.shape + (1, 1))
+
     def constraint_poles(self):
         from .finder import rim_scan  # finder imports smatrix, so a module-level import would be circular
 

@@ -236,14 +236,23 @@ def _continuation_below(t_basis: SubspaceBasis, g: GridFunction, z: complex) -> 
     model = t_basis.model
     lam = t_basis.grid.points()
     poly = t_basis.params["multiplier"]
-
-    def multiplier(x):
-        return np.polynomial.polynomial.polyval((x - 1j) / (x + 1j), poly)
-
     s_plus = model.boundary(lam, "+")[:, 0, 0]
-    h = GridFunction(t_basis.grid, np.conj(multiplier(lam) * s_plus)[:, None] * g.samples)
+    h = GridFunction(t_basis.grid, np.conj(_multiplier(poly, lam) * s_plus)[:, None] * g.samples)
     s_at = complex(model.eval_physical(z)[0, 0])
-    return s_at * complex(cauchy_eval(h, z)[0]) / np.conj(multiplier(np.conj(z)))
+    return s_at * complex(cauchy_eval(h, z)[0]) / np.conj(_multiplier(poly, np.conj(z)))
+
+
+def _multiplier(poly: np.ndarray, x):
+    """The polynomial ``poly`` in ``t = (x - i)/(x + i)`` by Horner's rule.
+
+    The steps are those of ``np.polynomial.polynomial.polyval``, so the values
+    are bit for bit its values, without loading ``numpy.polynomial``.
+    """
+    t = (x - 1j) / (x + 1j)
+    out = poly[-1] + t * 0
+    for c in poly[-2::-1]:
+        out = c + out * t
+    return out
 
 
 def restricted_apply(t_basis: SubspaceBasis, f: GridFunction, t: float) -> GridFunction:
@@ -324,8 +333,10 @@ def resolvent_residual(t_basis: SubspaceBasis, f: GridFunction, g: GridFunction,
     admissible subspace; mass of ``f`` outside the subspace is penalized, so a
     wrong continuation constant cannot hide in the unprojected identity.
     """
-    cf, _ = _project_coefs(t_basis, f)
-    cg, _ = _project_coefs(t_basis, g)
+    # one projection of f and g side by side streams the basis samples once
+    both = mt_coefficients_grid(GridFunction(t_basis.grid, np.hstack([f.samples, g.samples])),
+                                t_basis.working_dim)
+    cf, cg = both[:, 0], both[:, f.dim_k]
     u = t_basis.coefs
     f_t = u.conj().T @ cf
     g_t = u.conj().T @ cg

@@ -219,6 +219,32 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+# every verify suite, then one- and two-sheet decays, in one process; prints the
+# numpy.ma and numpy.polynomial modules loaded by then
+_VERIFY_THEN_DECAY = """
+import sys
+from scatres import verify
+from scatres.cli import main
+for suite in verify.SUITES:
+    verify.run_suite(suite)
+for model, out in ((["example1"], "decay-example1"), (["rankone", "--a", "1"], "decay-rankone")):
+    try:
+        main(["decay", "--model", *model, "--out", out])
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+print(sorted(m for m in sys.modules if m in ("numpy.ma", "numpy.polynomial")
+             or m.startswith(("numpy.ma.", "numpy.polynomial."))))
+"""
+
+
+def test_verify_and_decay_load_no_numpy_ma_or_polynomial(tmp_path):
+    # the tail-fit bands need no np.unique and the multiplier below the axis no
+    # polyval, so neither import is paid by a verify or a decay process
+    proc = _python("-c", _VERIFY_THEN_DECAY, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_package_exports_exactly_the_modules_all():
     modules = (scatres.hardy, scatres.semigroup, scatres.smatrix, scatres.finder, scatres.subspace)
     exported = {name for name, value in vars(scatres).items()

@@ -1,5 +1,7 @@
 """Grid, transform, projection, Cauchy-evaluation and basis tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,23 @@ def test_basis_counts_are_column_prefixes(fresh_basis_cache):
     for phi in (wide, narrow):
         with pytest.raises(ValueError):
             phi[0, 0] = 0.0
+
+
+def test_widening_the_store_keeps_one_copy(fresh_basis_cache):
+    # the narrower store is released before the wider one is sampled: widening
+    # the default grid from 48 to 49 columns peaks at the new store and a few
+    # vector temporaries, not at both stores
+    g = sr.make_grid(2**14, 400.0)
+    tracemalloc.start()
+    try:
+        hardy._phi_matrix(g, 48)
+        tracemalloc.reset_peak()
+        wide = hardy._phi_matrix(g, 49)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert wide.shape == (g.n_points, 49)
+    assert peak < 1.1 * wide.nbytes
 
 
 @pytest.mark.parametrize("n, half_extent, counts", [

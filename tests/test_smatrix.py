@@ -691,6 +691,42 @@ def test_pole_conditions_refusals(model):
                 model.pole_conditions(z, (1, 2))
 
 
+_DECADES = st.lists(st.tuples(st.sampled_from([1.0, -1.0]), st.floats(1, 10), st.integers(-300, 300)),
+                    max_size=40).map(lambda xs: np.array([s * m * 10.0**e for s, m, e in xs], dtype=float))
+_EDGE_LAM = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e-12, -1e-12, 1e300, -1e300])
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=_CLOSED_FORM_MODELS, lam=_DECADES)
+@example(model=sr.RankOneModel(1.0), lam=np.array([6.7e251, 1e-12, -4.0]))
+@example(model=sr.SquareWellModel(36.46, 1.74), lam=np.array([], dtype=float))
+def test_jost_boundary_matches_eval_bit_for_bit(model, lam):
+    # one Jost value per positive energy, S = conj(F)/F, gives the sheet ratio
+    # F(-k)/F(k) of eval exactly, signed zeros included; an empty half takes
+    # no jost call, so an all-positive, all-negative or empty input works
+    calls, inner = [], type(model).jost
+
+    def counted(self, momenta):
+        calls.append(len(momenta))
+        return inner(self, momenta)
+
+    for values in (lam, _EDGE_LAM, _CIRCLE_LAM, np.abs(lam), -np.abs(lam)):
+        for side in ("+", "-"):
+            del calls[:]
+            with mock.patch.object(type(model), "jost", counted), np.errstate(all="ignore"):
+                got = model.boundary(values, side)
+            assert got.shape == values.shape + (1, 1)
+            # a positive half takes one momentum a call (a second one only for
+            # a zero part of F), a negative half one call with +-i kappa
+            assert calls.count(2) == int(np.any(values < 0))
+            assert (1 in calls) == bool(np.any(values >= 0))
+            if values.size:
+                with np.errstate(all="ignore"):
+                    assert _same_bits(got, sr.SMatrixModel.boundary(model, values, side))
+    with pytest.raises(ValueError, match="side must be"):
+        model.boundary(lam, "0")
+
+
 @settings(max_examples=60, deadline=None)
 @given(model=_CLOSED_FORM_MODELS,
        ks=st.lists(st.floats(-50, 50).filter(lambda x: abs(x) >= 1e-6), min_size=1, max_size=20))

@@ -369,6 +369,35 @@ def test_resolve_B_round_trip_real_points(ex1_bases, grid):
         assert sr.resolvent_residual(tb, f, e, z) < 1e-2
 
 
+def test_resolvent_residual_reads_the_first_columns(ex1_bases, grid):
+    # f and g are projected side by side in one call; with more than one
+    # column the residual is that of the first columns, as for one column
+    _, _, _, tb = ex1_bases
+    e = sr.gamov(ZETA, 1.0, grid)
+    z = -3j
+    f = sr.resolve_B(tb, e, z, resonances=[ZETA])
+    one = sr.resolvent_residual(tb, f, e, z)
+    extra = sr.gamov(2 - 1j, 1.0, grid).samples
+    two = sr.resolvent_residual(tb, sr.GridFunction(grid, np.hstack([f.samples, extra])),
+                                sr.GridFunction(grid, np.hstack([e.samples, 3 * extra])), z)
+    assert one < 1e-4
+    assert abs(two - one) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(coefs=st.lists(st.complex_numbers(max_magnitude=1e3, allow_nan=False), min_size=1, max_size=9),
+       xs=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=20))
+@example(coefs=[0j], xs=[0.0, -0.0])
+def test_multiplier_is_polyval_bit_for_bit(coefs, xs):
+    # the Horner loop below the axis repeats polyval's steps, so the
+    # continuation's values are those of np.polynomial, signed zeros included
+    poly = np.array(coefs, dtype=complex)
+    for x in (np.array(xs), np.conj(complex(xs[0], -1.0))):
+        want = np.polynomial.polynomial.polyval((x - 1j) / (x + 1j), poly)
+        got = subspace._multiplier(poly, x)
+        assert np.array_equal(np.atleast_1d(got).view(np.uint64), np.atleast_1d(want).view(np.uint64))
+
+
 def test_resolve_B_rankone_rim_branch(rankone_bases, grid):
     # the two-sheet continuation chain with the rim-pole weight
     _, _, _, tb = rankone_bases
