@@ -67,13 +67,20 @@ def _parse_model(model, a, v0, radius):
             spec = json.load(fh)
         if not isinstance(spec, dict):
             raise ValueError(f"model file {text!r} must hold a JSON object, not {type(spec).__name__}")
-    if a is not None:
-        spec.setdefault("a", a)
-    if v0 is not None:
-        spec.setdefault("v0", v0)
-    if radius is not None:
-        spec.setdefault("radius", radius)
+    for key, value in (("a", a), ("v0", v0), ("radius", radius)):
+        if value is not None:
+            spec.setdefault(key, value)
     return smatrix.model_from_spec(spec)
+
+
+def _scan(mdl, regions=None):
+    """Located poles and their conjugate-pair audit; a failure of either is ``scan failed:``, exit 2."""
+    try:
+        found = finder.find_resonances(mdl, regions=regions)
+        return found, finder.conjugate_pair_audit(found, mdl)
+    except Exception as exc:  # scan machinery failure
+        click.echo(f"scan failed: {exc}", err=True)
+        sys.exit(2)
 
 
 def _parse_region(text, sheet, model):
@@ -148,12 +155,7 @@ def cmd_resonances(model, a, v0, radius, region, sheet, out_dir):
     except (ValueError, OSError, click.UsageError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    try:
-        found = finder.find_resonances(mdl, regions=regions)
-        audit = finder.conjugate_pair_audit(found, mdl)
-    except Exception as exc:  # scan machinery failure
-        click.echo(f"scan failed: {exc}", err=True)
-        sys.exit(2)
+    found, audit = _scan(mdl, regions)
     records = finder.resonances_to_json(found)
     payload = {"model": mdl.name, "audit_ok": audit.ok, "resonances": records}
     _atomic_write(os.path.join(out_dir, "poles.json"), _fmt_json(payload) + "\n")
@@ -200,12 +202,7 @@ def cmd_decay(model, a, v0, radius, grid_n, grid_l, basis_n, times, out_dir):
     except (ValueError, OSError, click.UsageError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    try:
-        found = finder.find_resonances(mdl)
-        audit = finder.conjugate_pair_audit(found, mdl)
-    except Exception as exc:  # scan machinery failure, as in resonances
-        click.echo(f"scan failed: {exc}", err=True)
-        sys.exit(2)
+    found, audit = _scan(mdl)
     resonances = [r for r in found if r.kind == "resonance"]
     if not audit.ok:
         click.echo("error: conjugate pole pairs detected; subspace not admissible", err=True)

@@ -287,7 +287,11 @@ def _kernel_and_residual(model: SMatrixModel, zeta: complex, sheet: int):
 @dataclass
 class AuditReport:
     flagged: list = field(default_factory=list)
-    ok: bool = True
+
+    @property
+    def ok(self) -> bool:
+        """No flagged pair: the verdict is read from the pairs, so the two cannot disagree."""
+        return not self.flagged
 
 
 def conjugate_pair_audit(resonances: list[Resonance], model: SMatrixModel) -> AuditReport:
@@ -310,7 +314,6 @@ def conjugate_pair_audit(resonances: list[Resonance], model: SMatrixModel) -> Au
         for r2 in surface[i + 1 :]:
             if abs(r1.zeta - np.conj(r2.zeta)) < _AUDIT_TOL and abs(r1.zeta.imag) > _AUDIT_TOL:
                 report.flagged.append((r1, r2))
-                report.ok = False
     return report
 
 

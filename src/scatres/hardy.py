@@ -22,7 +22,6 @@ __all__ = [
     "Grid",
     "GridFunction",
     "make_grid",
-    "grid_function",
     "fourier",
     "project_half_line",
     "project_hardy",
@@ -109,18 +108,13 @@ class GridFunction:
             raise ValueError("grid/shape mismatch")
 
 
-def grid_function(grid: Grid, values) -> GridFunction:
-    return GridFunction(grid, np.asarray(values, dtype=complex))
-
-
 def norm(f: GridFunction) -> float:
     return float(np.sqrt(f.grid.spacing * np.sum(np.abs(f.samples) ** 2)))
 
 
 def inner(f: GridFunction, g: GridFunction) -> complex:
     """L2 pairing, antilinear in the first slot."""
-    if f.grid != g.grid or f.samples.shape != g.samples.shape:
-        raise ValueError("inner: grid or multiplicity mismatch")
+    f._check(g)
     return complex(f.grid.spacing * np.sum(np.conj(f.samples) * g.samples))
 
 
@@ -321,11 +315,14 @@ def mt_coefficients_grid(f: GridFunction, count: int) -> np.ndarray:
     idempotent at machine precision.  As ``conj(phi_j) phi_k`` is
     ``t^(k-j)/(pi (1 + lam^2))`` with ``|t| = 1``, the Gram is Toeplitz.
     """
-    phi = _phi_matrix(f.grid, count)
-    # phi^H f as conj(phi^T conj(f)): only the n x m input is conjugated
-    rhs = f.grid.spacing * (phi.T @ f.samples.conj()).conj()
+    rhs = f.grid.spacing * _qh(_phi_matrix(f.grid, count), f.samples)
     row = _gram_row(f.grid, count)
     return np.linalg.solve(_toeplitz(row.conj(), row), rhs)
+
+
+def _qh(q: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """``Q^H f`` as ``conj(Q^T conj(f))``: only the few columns of f are conjugated."""
+    return (q.T @ f.conj()).conj()
 
 
 def _gram_row(grid: Grid, count: int) -> np.ndarray:

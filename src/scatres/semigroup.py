@@ -15,6 +15,7 @@ from .hardy import (
     Grid,
     GridFunction,
     _phi_matrix,
+    _qh,
     _toeplitz,
     mt_coefficients_grid,
     mt_synthesize,
@@ -81,11 +82,6 @@ def generator_offset(coefs: np.ndarray) -> GeneratorSample:
     c = np.asarray(coefs, dtype=complex)
     return GeneratorSample(input=c, offset=-c.sum(0) / np.sqrt(np.pi),
                            image=generator_matrix(c.shape[0]) @ c)
-
-
-def _qh(q: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """``Q^H f`` as ``conj(Q^T conj(f))``: only the few columns of f are conjugated."""
-    return (q.T @ f.conj()).conj()
 
 
 @dataclass

@@ -66,12 +66,15 @@ class SMatrixModel:
     Every model evaluates on a scalar or an array ``z`` and returns an array
     of shape ``z.shape``, so scan grids, contours and boundary samples are
     evaluated in one call, and ``eval`` derives ``S`` from the poles, so the
-    two cannot disagree.  One-sheet models and trace-class data define
-    ``pole_condition``: ``1/S`` for a one-sheet model, ``det L`` for
-    trace-class data, which also returns ``L`` from ``condition_matrix`` and
-    takes one quadrature for all sheets in ``pole_conditions``.  The two-sheet
-    closed forms are :class:`JostModel`s: they define the Jost function
-    ``jost(momenta)`` and their declared rim poles, and ``S(k) = F(-k)/F(k)``.
+    two cannot disagree.  A model defines one hook, ``pole_conditions(z,
+    sheets)``: for each requested sheet an analytic function vanishing exactly
+    at that sheet's poles, so sheets that share work (one momentum, one
+    quadrature) do it once; ``pole_condition(z, sheet)`` is the hook on one
+    sheet.  The pole condition is ``1/S`` for a one-sheet model and ``det L``
+    for trace-class data, whose ``condition_matrix`` returns ``L``.  The
+    two-sheet closed forms are :class:`JostModel`s: they define the Jost
+    function ``jost(momenta)`` and their declared rim poles, and
+    ``S(k) = F(-k)/F(k)``.
     """
 
     name: str = "abstract"
@@ -79,18 +82,14 @@ class SMatrixModel:
     sheet_count: int = 1
 
     # -- required --------------------------------------------------------
-    def pole_condition(self, z, sheet: int = 1):
-        """Analytic function vanishing exactly at the poles of the sheet; shape ``z.shape``."""
+    def pole_conditions(self, z, sheets) -> list[np.ndarray]:
+        """For each of ``sheets``, an analytic function vanishing exactly at its poles, of shape ``z.shape``; a list."""
         raise NotImplementedError
 
     # -- shared ----------------------------------------------------------
-    def pole_conditions(self, z, sheets) -> list[np.ndarray]:
-        """``pole_condition(z, sheet)`` for each of ``sheets`` in turn, as a list.
-
-        Models whose sheets share most of their work override it to do that
-        work once; the values stay those of ``pole_condition``.
-        """
-        return [self.pole_condition(z, sheet) for sheet in sheets]
+    def pole_condition(self, z, sheet: int = 1):
+        """``pole_conditions`` on the one sheet ``sheet``."""
+        return self.pole_conditions(z, (sheet,))[0]
 
     def condition_matrix(self, z, sheet: int = 1) -> np.ndarray:
         """Matrix whose determinant is the pole condition: here ``pole_condition``
@@ -108,7 +107,10 @@ class SMatrixModel:
         One sheet: the pole condition is ``1/S``, so ``S`` is its reflection
         ``conj(pole_condition(conj z))``, which stays finite at the zeros of ``S``.
         """
-        self._check_sheet(z, sheet)
+        if sheet not in (1, 2) or sheet > self.sheet_count:
+            raise ValueError(f"invalid sheet {sheet} for model {self.name}")
+        if self.sheet_count == 2 and np.any(np.asarray(z) == 0):
+            raise ValueError("z = 0 is the branch point")
         if self.dim_k != 1:
             raise NotImplementedError("S from the pole condition is implemented for multiplicity one")
         z = np.asarray(z, dtype=complex)
@@ -118,12 +120,6 @@ class SMatrixModel:
             num, den = self.pole_conditions(z, (3 - sheet, sheet))
             s = num / den
         return s.reshape(z.shape + (1, 1))
-
-    def _check_sheet(self, z, sheet: int):
-        if sheet not in (1, 2) or sheet > self.sheet_count:
-            raise ValueError(f"invalid sheet {sheet} for model {self.name}")
-        if self.sheet_count == 2 and np.any(np.asarray(z) == 0):
-            raise ValueError("z = 0 is the branch point")
 
     def boundary(self, lam, side: str = "+") -> np.ndarray:
         """Boundary values along the real axis; shape ``lam.shape + (m, m)``.
@@ -229,12 +225,12 @@ class RationalModel(SMatrixModel):
         self.poles = poles
         self.name = name
 
-    def pole_condition(self, z, sheet: int = 1):
+    def pole_conditions(self, z, sheets):
         z = np.asarray(z, dtype=complex)
         s = np.ones_like(z)
         for p in self.poles:
             s = s * (z - p) / (z - np.conj(p))
-        return s
+        return [s for _ in sheets]
 
     def constraint_poles(self):
         out: dict[complex, int] = {}
@@ -333,9 +329,6 @@ class JostModel(SMatrixModel):
         """``F`` at each of ``momenta``, as a list."""
         raise NotImplementedError
 
-    def pole_condition(self, z, sheet: int = 1):
-        return self.pole_conditions(z, (sheet,))[0]
-
     def pole_conditions(self, z, sheets):
         for sheet in sheets:
             if sheet not in (1, 2):
@@ -393,8 +386,8 @@ def rankone_resolvent_elem(z: complex, sheet: int = 1) -> complex:
 
 
 def _resolvent_elem(k):
-    """:func:`rankone_resolvent_elem` at the momentum ``k``; ``k = 0`` is ``z = 0`` and raises."""
-    if np.all(k == 0):
+    """:func:`rankone_resolvent_elem` at the momentum ``k``; any ``k = 0`` is ``z = 0`` and raises."""
+    if np.any(k == 0):
         raise ValueError("z = 0 is the branch point")
     return -1 / (1 - 1j * k) ** 2
 
@@ -734,9 +727,6 @@ class TraceClassModel(SMatrixModel):
 
     def condition_matrix(self, z, sheet: int = 1):
         return build_L(self.data, z, sheet)
-
-    def pole_condition(self, z, sheet: int = 1):
-        return np.linalg.det(self.condition_matrix(z, sheet))
 
     def pole_conditions(self, z, sheets):
         # the sheets' L differ only by the 2 pi i X jump, so one quadrature T serves them all

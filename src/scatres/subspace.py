@@ -215,11 +215,6 @@ def gamov_coefficients(zeta: complex, count: int) -> np.ndarray:
     return -2j * np.sqrt(np.pi) * (zeta + 1j) ** j / (zeta - 1j) ** (j + 1)
 
 
-def _project_coefs(t_basis: SubspaceBasis, f: GridFunction) -> tuple[np.ndarray, float]:
-    """Coefficients of f in the working truncation, and the norm of f."""
-    return mt_coefficients_grid(f, t_basis.working_dim)[:, 0], norm(f)
-
-
 def _continuation_below(t_basis: SubspaceBasis, g: GridFunction, z: complex) -> complex:
     """Value below the axis of the continuation of an admissible element g.
 
@@ -266,8 +261,9 @@ def restricted_apply(t_basis: SubspaceBasis, f: GridFunction, t: float) -> GridF
     _require_time(t)
     if t_basis.role != "T":
         raise ValueError("restricted_apply expects the admissible basis")
-    c, f_norm = _project_coefs(t_basis, f)
+    c = mt_coefficients_grid(f, t_basis.working_dim)[:, 0]
     ct = t_basis.coefs.conj().T @ c
+    f_norm = norm(f)
     if np.linalg.norm(ct) < 0.5 * f_norm:
         raise RuntimeError(
             "input is essentially orthogonal to the admissible subspace "
@@ -315,7 +311,7 @@ def resolve_B(t_basis: SubspaceBasis, g: GridFunction, z: complex, resonances=No
     f_samples = (g.samples - k0) / denom[:, None]
     if hit.any():
         j = int(np.nonzero(hit)[0][0])
-        c, _ = _project_coefs(t_basis, g)
+        c = mt_coefficients_grid(g, t_basis.working_dim)[:, 0]
         h = 1e-6
         f_samples[j, 0] = (mt_point_eval(c, z + h)[0] - mt_point_eval(c, z - h)[0]) / (2 * h)
     f = GridFunction(t_basis.grid, f_samples)
@@ -333,10 +329,8 @@ def resolvent_residual(t_basis: SubspaceBasis, f: GridFunction, g: GridFunction,
     admissible subspace; mass of ``f`` outside the subspace is penalized, so a
     wrong continuation constant cannot hide in the unprojected identity.
     """
-    # one projection of f and g side by side streams the basis samples once
-    both = mt_coefficients_grid(GridFunction(t_basis.grid, np.hstack([f.samples, g.samples])),
-                                t_basis.working_dim)
-    cf, cg = both[:, 0], both[:, f.dim_k]
+    cf = mt_coefficients_grid(f, t_basis.working_dim)[:, 0]
+    cg = mt_coefficients_grid(g, t_basis.working_dim)[:, 0]
     u = t_basis.coefs
     f_t = u.conj().T @ cf
     g_t = u.conj().T @ cg
@@ -384,7 +378,7 @@ def transition_curve(f: GridFunction, times, mode: str, t_basis: SubspaceBasis |
             c = gamov_coefficients(zeta, t_basis.working_dim)
             c = c * (norm(f) / np.linalg.norm(c))
         else:
-            c, _ = _project_coefs(t_basis, f)
+            c = mt_coefficients_grid(f, t_basis.working_dim)[:, 0]
         u = t_basis.coefs
         uh = u.conj().T
         ct = uh @ c

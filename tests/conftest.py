@@ -46,7 +46,7 @@ def rankone_bases(grid):
 def rational_sum(grid, poles, weights=None):
     lam = grid.points()
     weights = weights or [1.0] * len(poles)
-    return sr.grid_function(grid, sum(w / (lam - p) for w, p in zip(weights, poles)))
+    return sr.GridFunction(grid, sum(w / (lam - p) for w, p in zip(weights, poles)))
 
 
 LOWER_POINTS = (-1j, 1 - 0.5j, -2 - 2j, 0.3 - 3j)

@@ -82,7 +82,7 @@ def test_criterion_04_unitarity():
 def test_criterion_05_hardy_suite():
     g = sr.make_grid(2**14, 400.0)
     rng = np.random.default_rng(3)
-    f = sr.grid_function(g, rng.standard_normal(g.n_points) + 1j * rng.standard_normal(g.n_points))
+    f = sr.GridFunction(g, rng.standard_normal(g.n_points) + 1j * rng.standard_normal(g.n_points))
     fhat = sr.fourier(f, "forward")
     parseval = abs(sr.norm(fhat) - sr.norm(f)) / sr.norm(f)
     qp, qm = sr.project_hardy(f, "+"), sr.project_hardy(f, "-")
@@ -104,7 +104,7 @@ def test_criterion_05_hardy_suite():
         lam = grid.points()
         worst = 0.0
         for zeta, z in pairs:
-            fz = sr.grid_function(grid, 1 / (lam - zeta))
+            fz = sr.GridFunction(grid, 1 / (lam - zeta))
             worst = max(worst, abs(sr.cauchy_eval(fz, z)[0] - 1 / (z - zeta)))
         return worst
 

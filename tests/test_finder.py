@@ -129,6 +129,17 @@ def test_conjugate_pair_audit():
     assert not report.ok and len(report.flagged) == 1
 
 
+def test_audit_verdict_follows_its_pairs():
+    one = np.ones(1, dtype=complex)
+    pair = (sr.Resonance(zeta=1j, sheet=1, kind="antiresonance", kernel=one, residual=0.0),
+            sr.Resonance(zeta=-1j, sheet=1, kind="resonance", kernel=one, residual=0.0))
+    assert sr.AuditReport().ok
+    report = sr.AuditReport(flagged=[pair])
+    assert not report.ok
+    with pytest.raises(AttributeError):
+        report.ok = True
+
+
 def test_completeness_random_couplings():
     rng = np.random.default_rng(5)
     region = [sr.ScanRegion(-10, 10, -10, -0.01, sheet=2)]
@@ -248,7 +259,8 @@ def test_find_resonances_samples_the_traceclass_rim_grid_once(monkeypatch):
 class _SheetBySheet(sr.TraceClassModel):
     """The per-sheet reference: each sheet's pole condition from its own trace_T call."""
 
-    pole_conditions = sr.SMatrixModel.pole_conditions
+    def pole_conditions(self, z, sheets):
+        return [np.linalg.det(sr.build_L(self.data, z, s)) for s in sheets]
 
 
 def _records(model):

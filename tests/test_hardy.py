@@ -39,14 +39,14 @@ def test_dual_grid_involution():
 def test_fourier_gaussian_closed_form():
     g = sr.make_grid(2**12, 20.0)
     x = g.points()
-    f = sr.grid_function(g, np.exp(-(x**2) / 2))
+    f = sr.GridFunction(g, np.exp(-(x**2) / 2))
     fhat = sr.fourier(f, "forward")
     lam = fhat.grid.points()
     assert np.abs(fhat.samples[:, 0] - np.exp(-(lam**2) / 2)).max() < 1e-10
 
 
 def test_fourier_roundtrip_and_parseval(grid, rng):
-    f = sr.grid_function(grid, rng.standard_normal((grid.n_points, 2))
+    f = sr.GridFunction(grid, rng.standard_normal((grid.n_points, 2))
                          + 1j * rng.standard_normal((grid.n_points, 2)))
     fhat = sr.fourier(f, "forward")
     back = sr.fourier(fhat, "inverse")
@@ -55,13 +55,13 @@ def test_fourier_roundtrip_and_parseval(grid, rng):
 
 
 def test_fourier_direction_validation(grid):
-    f = sr.grid_function(grid, np.ones(grid.n_points))
+    f = sr.GridFunction(grid, np.ones(grid.n_points))
     with pytest.raises(ValueError):
         sr.fourier(f, "sideways")
 
 
 def test_half_line_projection_indicator(grid):
-    ones = sr.grid_function(grid, np.ones(grid.n_points))
+    ones = sr.GridFunction(grid, np.ones(grid.n_points))
     plus = sr.project_half_line(ones, "+")
     x = grid.points()
     assert np.all(plus.samples[x < 0] == 0)
@@ -70,7 +70,7 @@ def test_half_line_projection_indicator(grid):
 
 
 def test_half_line_projector_algebra(grid, rng):
-    f = sr.grid_function(grid, rng.standard_normal(grid.n_points)
+    f = sr.GridFunction(grid, rng.standard_normal(grid.n_points)
                          + 1j * rng.standard_normal(grid.n_points))
     pp = sr.project_half_line(f, "+")
     pm = sr.project_half_line(f, "-")
@@ -79,7 +79,7 @@ def test_half_line_projector_algebra(grid, rng):
 
 
 def test_hardy_projector_algebra_plain(grid, rng):
-    f = sr.grid_function(grid, rng.standard_normal(grid.n_points)
+    f = sr.GridFunction(grid, rng.standard_normal(grid.n_points)
                          + 1j * rng.standard_normal(grid.n_points))
     qp = sr.project_hardy(f, "+")
     qm = sr.project_hardy(f, "-")
@@ -127,17 +127,17 @@ def test_inner_norm_pi(big_grid):
 
 
 def test_inner_symmetry_and_positivity(grid, rng):
-    f = sr.grid_function(grid, rng.standard_normal(grid.n_points)
+    f = sr.GridFunction(grid, rng.standard_normal(grid.n_points)
                          + 1j * rng.standard_normal(grid.n_points))
-    g = sr.grid_function(grid, rng.standard_normal(grid.n_points)
+    g = sr.GridFunction(grid, rng.standard_normal(grid.n_points)
                          + 1j * rng.standard_normal(grid.n_points))
     assert abs(sr.inner(f, g) - np.conj(sr.inner(g, f))) < 1e-12 * sr.norm(f) * sr.norm(g)
     assert sr.inner(f, f).real >= 0
 
 
 def test_inner_grid_mismatch():
-    f = sr.grid_function(sr.make_grid(8, 4.0), np.ones(8))
-    g = sr.grid_function(sr.make_grid(16, 4.0), np.ones(16))
+    f = sr.GridFunction(sr.make_grid(8, 4.0), np.ones(8))
+    g = sr.GridFunction(sr.make_grid(16, 4.0), np.ones(16))
     with pytest.raises(ValueError):
         sr.inner(f, g)
 
@@ -254,7 +254,7 @@ def _fresh_coefficients(f, count):
 def test_gram_row_is_kept_per_grid_and_count(fresh_basis_cache, monkeypatch):
     g = sr.make_grid(2**10, 50.0)
     rng = np.random.default_rng(7)
-    f = sr.grid_function(g, rng.standard_normal((g.n_points, 2)) + 1j * rng.standard_normal((g.n_points, 2)))
+    f = sr.GridFunction(g, rng.standard_normal((g.n_points, 2)) + 1j * rng.standard_normal((g.n_points, 2)))
     products = []
     inner = hardy._phi_matrix
 

@@ -20,7 +20,7 @@ def coefs(poles, weights=None, dim=48):
 
 
 def test_apply_T_identity_and_isometry(grid, rng):
-    f = sr.grid_function(grid, rng.standard_normal(grid.n_points)
+    f = sr.GridFunction(grid, rng.standard_normal(grid.n_points)
                          + 1j * rng.standard_normal(grid.n_points))
     assert sr.norm(sr.apply_T(f, 0.0) - f) == 0.0
     for t in (0.7, 3.1):
@@ -208,7 +208,7 @@ def _materialize(iso):
     to q, since ``w q^H q = w``.
     """
     q = iso._synthesize(np.eye(iso._z.shape[1]))
-    return q, iso.forward(sr.grid_function(iso.grid, q)).samples
+    return q, iso.forward(sr.GridFunction(iso.grid, q)).samples
 
 
 def _assert_orthonormal(q):
@@ -239,14 +239,14 @@ def test_polar_isometry_matches_householder_reference(n, half_extent, budget):
     assert np.linalg.norm(init - init_ref @ (init_ref.conj().T @ init)) < 1e-7
 
     def forward_ref(f):
-        return sr.grid_function(g, w_ref @ (q_ref.conj().T @ f.samples))
+        return sr.GridFunction(g, w_ref @ (q_ref.conj().T @ f.samples))
 
     def adjoint_ref(f):
-        return sr.grid_function(g, q_ref @ (w_ref.conj().T @ f.samples))
+        return sr.GridFunction(g, q_ref @ (w_ref.conj().T @ f.samples))
 
     rng = np.random.default_rng(budget)
     for m in (1, 2):
-        f = sr.grid_function(g, rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+        f = sr.GridFunction(g, rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
         evolved = sr.apply_C(sr.mt_coefficients_grid(adjoint_ref(f), budget), 1.0)
         transfer_ref = forward_ref(sr.mt_synthesize(evolved, g))
         for got, ref in ((iso.forward(f), forward_ref(f)), (iso.adjoint(f), adjoint_ref(f)),
@@ -323,7 +323,7 @@ cases = [((2**14, 400.0), (48, 32, 40)), ((2**10, 50.0), (48, 32, 40)),
 
 def build(g, budget):
     iso = sr.build_polar_isometry(g, rank_budget=budget)
-    e = sr.grid_function(g, 1 / (g.points() - (1 - 1j)))
+    e = sr.GridFunction(g, 1 / (g.points() - (1 - 1j)))
     return iso.singular_values, iso.forward(e).samples
 
 

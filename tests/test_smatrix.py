@@ -691,6 +691,54 @@ def test_pole_conditions_refusals(model):
                 model.pole_conditions(z, (1, 2))
 
 
+def test_branch_point_refusal_is_pointwise():
+    # one zero among other points is the branch point; an empty array has none
+    model = sr.RankOneModel(1.0)
+    with pytest.raises(ValueError, match="branch point"):
+        model.pole_condition(np.array([0j, 1 + 0j]), 1)
+    with pytest.raises(ValueError, match="branch point"):
+        model.pole_conditions(np.array([1 + 0j, 0j]), (1, 2))
+    empty = np.array([], dtype=complex)
+    assert model.pole_condition(empty, 1).shape == (0,)
+    assert [v.shape for v in model.pole_conditions(empty, (1, 2))] == [(0,), (0,)]
+
+
+# each model family defines the one hook; pole_condition is SMatrixModel's alone
+_HOOK_OWNERS = {sr.RationalModel: sr.RationalModel, sr.JostModel: sr.JostModel,
+                sr.RankOneModel: sr.JostModel, sr.SquareWellModel: sr.JostModel,
+                sr.TraceClassModel: sr.TraceClassModel}
+
+
+def test_every_model_defines_only_the_one_hook():
+    models = {cls for cls in vars(sr.smatrix).values()
+              if isinstance(cls, type) and issubclass(cls, sr.SMatrixModel) and cls is not sr.SMatrixModel}
+    assert models == set(_HOOK_OWNERS)
+    for cls, owner in _HOOK_OWNERS.items():
+        assert cls.pole_condition is sr.SMatrixModel.pole_condition
+        assert cls.pole_conditions is vars(owner)["pole_conditions"]
+
+
+_RNG = np.random.default_rng(35)
+_HOOK_MODELS = [
+    sr.example1(),
+    sr.RationalModel(_RNG.uniform(-3, 3, 4) + 1j * _RNG.uniform(0.1, 2, 4) * _RNG.choice([1, -1], 4)),
+    sr.RankOneModel(-2.0),
+    sr.SquareWellModel(10.0, 1.0),
+    sr.TraceClassModel(sr.rankone_trace_data(1.0)),
+]
+
+
+@pytest.mark.parametrize("model", _HOOK_MODELS, ids=lambda m: m.name)
+def test_pole_condition_is_the_hook_on_one_sheet_bit_for_bit(model):
+    rng = np.random.default_rng(36)
+    off = rng.uniform(-6, 6, 8) + 1j * rng.uniform(-4, 4, 8)
+    rims = np.array([-1.5 + 0j, complex(-1.5, -0.0), -0.25 + 0j, complex(-7.0, -0.0)])
+    with np.errstate(all="ignore"):
+        for sheet in range(1, model.sheet_count + 1):
+            for z in (off, rims, off.reshape(2, 4), off[0], complex(rims[1])):
+                assert _same_bits(model.pole_condition(z, sheet), model.pole_conditions(z, (sheet,))[0])
+
+
 _DECADES = st.lists(st.tuples(st.sampled_from([1.0, -1.0]), st.floats(1, 10), st.integers(-300, 300)),
                     max_size=40).map(lambda xs: np.array([s * m * 10.0**e for s, m, e in xs], dtype=float))
 _EDGE_LAM = np.array([0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e-12, -1e-12, 1e300, -1e300])
