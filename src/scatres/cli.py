@@ -25,6 +25,8 @@ _MAX_TIMES = 10_000  # points of a --times grid; the default has 31
 
 def _fmt_json(obj) -> str:
     if isinstance(obj, (float, np.floating)):
+        if not np.isfinite(obj):
+            raise ValueError(f"the non-finite number {obj} has no JSON form")
         return format(float(obj), ".17g")
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -68,8 +70,9 @@ def _parse_model(model, a, v0, radius):
         if not isinstance(spec, dict):
             raise ValueError(f"model file {text!r} must hold a JSON object, not {type(spec).__name__}")
     for key, value in (("a", a), ("v0", v0), ("radius", radius)):
-        if value is not None:
-            spec.setdefault(key, value)
+        # setdefault returns the flag itself, NaN included, unless the description holds the key
+        if value is not None and spec.setdefault(key, value) is not value and spec[key] != value:
+            raise ValueError(f"--{key} {value:g} contradicts {key!r} = {spec[key]!r} of the model description")
     return smatrix.model_from_spec(spec)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .smatrix import SMatrixModel
+from .smatrix import SMatrixModel, _check_sheet
 
 __all__ = [
     "Resonance",
@@ -75,9 +75,7 @@ class ScanRegion:
 
     def check_model(self, model: SMatrixModel) -> None:
         """``ValueError`` for a sheet the model lacks, or a two-sheet rectangle across the cut."""
-        sheets = list(range(1, model.sheet_count + 1))
-        if self.sheet not in sheets:
-            raise ValueError(f"sheet must be one of {sheets} for model {model.name}, got {self.sheet}")
+        _check_sheet(self.sheet, model.sheet_count, f"model {model.name}")
         if model.sheet_count == 2 and self.im_min < 0 < self.im_max and self.re_min < 0:
             raise ValueError("rectangle crosses the cut (-inf, 0]; scan rims separately")
 

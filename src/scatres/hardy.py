@@ -164,35 +164,19 @@ def project_half_line(f: GridFunction, sign: str) -> GridFunction:
 # tail model of cauchy_eval
 
 
-class _TailCache:
-    """Per-grid least-squares fit of the ``1/lam`` tail over wide edge bands."""
-
-    def __init__(self, grid: Grid):
-        n, L = grid.n_points, grid.half_extent
-        lam = grid.points()
-        self.grid = grid
-        self.lam = lam
-        # wide symmetric fit bands, away from the outermost samples; the sorted
-        # indices drop their repeats by a neighbour test (np.unique loads numpy.ma)
-        band = np.linspace(max(1, n // 100), n // 5, 24).astype(int)
-        band = band[np.r_[True, band[1:] != band[:-1]]]
-        self.idx = np.r_[band, n - 1 - band]
-        basis = np.stack(
-            [np.ones(self.idx.size), L / lam[self.idx], (L / lam[self.idx]) ** 2], axis=1
-        )
-        self.pinv = np.linalg.pinv(basis)
-
-    def fit(self, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Fit lam*f ~ c0 + c1*(L/lam) + c2*(L/lam)^2 per component."""
-        L = self.grid.half_extent
-        y = self.lam[self.idx, None] * samples[self.idx]
-        c = self.pinv @ y
-        return c[0], c[1] * L, c[2] * L**2  # coefficients of f ~ A/lam + B/lam^2 + C/lam^3
-
-
 @lru_cache(maxsize=8)
-def _tail_cache(grid: Grid) -> _TailCache:
-    return _TailCache(grid)
+def _tail_fit(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The grid's points, the indices of its wide symmetric edge bands, away
+    from the outermost samples, and the pseudo-inverse of the least-squares fit
+    ``lam*f ~ c0 + c1*(L/lam) + c2*(L/lam)^2`` over those bands."""
+    n, L = grid.n_points, grid.half_extent
+    lam = grid.points()
+    # the sorted indices drop their repeats by a neighbour test (np.unique loads numpy.ma)
+    band = np.linspace(max(1, n // 100), n // 5, 24).astype(int)
+    band = band[np.r_[True, band[1:] != band[:-1]]]
+    idx = np.r_[band, n - 1 - band]
+    basis = np.stack([np.ones(idx.size), L / lam[idx], (L / lam[idx]) ** 2], axis=1)
+    return lam, idx, np.linalg.pinv(basis)
 
 
 def project_hardy(f: GridFunction, sign: str) -> GridFunction:
@@ -220,11 +204,11 @@ def cauchy_eval(f: GridFunction, z: complex) -> np.ndarray:
     z = complex(z)
     if z.imag == 0:
         raise ValueError("cauchy_eval requires Im z != 0")
-    tc = _tail_cache(f.grid)
-    lam = tc.lam
+    lam, idx, pinv = _tail_fit(f.grid)
     base = f.grid.spacing * np.sum(f.samples / (lam - z)[:, None], axis=0)
-    A, B, _ = tc.fit(f.samples)
     L = f.grid.half_extent
+    c = pinv @ (lam[idx, None] * f.samples[idx])
+    A, B = c[0], c[1] * L  # f ~ A/lam + B/lam^2 + C/lam^3
     w = z / L
     lg = np.log(1 + w) - np.log(1 - w)
     i1 = lg / z

@@ -53,11 +53,16 @@ def momentum(z, sheet: int):
     Real ``z`` is resolved as ``z + i0``: positive energies give the physical
     ``+sqrt(z)`` on sheet 1, negative energies the upper rim ``i*sqrt(|z|)``.
     """
-    if sheet not in (1, 2):
-        raise ValueError(f"sheet must be 1 or 2, got {sheet}")
+    _check_sheet(sheet, 2, "the momentum")
     z = np.asarray(z, dtype=complex)
     k = 1j * np.sqrt(-z)
     return k if sheet == 1 else -k
+
+
+def _check_sheet(sheet, count: int, name: str) -> None:
+    """``ValueError`` unless ``sheet`` is one of ``1 .. count``, the sheets of ``name``."""
+    if sheet not in range(1, count + 1):
+        raise ValueError(f"sheet must be one of {list(range(1, count + 1))} for {name}, got {sheet}")
 
 
 class SMatrixModel:
@@ -66,15 +71,15 @@ class SMatrixModel:
     Every model evaluates on a scalar or an array ``z`` and returns an array
     of shape ``z.shape``, so scan grids, contours and boundary samples are
     evaluated in one call, and ``eval`` derives ``S`` from the poles, so the
-    two cannot disagree.  A model defines one hook, ``pole_conditions(z,
-    sheets)``: for each requested sheet an analytic function vanishing exactly
-    at that sheet's poles, so sheets that share work (one momentum, one
-    quadrature) do it once; ``pole_condition(z, sheet)`` is the hook on one
-    sheet.  The pole condition is ``1/S`` for a one-sheet model and ``det L``
-    for trace-class data, whose ``condition_matrix`` returns ``L``.  The
-    two-sheet closed forms are :class:`JostModel`s: they define the Jost
-    function ``jost(momenta)`` and their declared rim poles, and
-    ``S(k) = F(-k)/F(k)``.
+    two cannot disagree.  The entry ``pole_conditions(z, sheets)`` refuses a
+    sheet outside ``1 .. sheet_count`` and calls the family's one hook,
+    ``_pole_conditions``: for each sheet an analytic function vanishing exactly
+    at its poles, so sheets that share work (one momentum, one quadrature) do
+    it once; ``pole_condition(z, sheet)`` is the entry on one sheet.  The pole
+    condition is ``1/S`` for a one-sheet model and ``det L`` for trace-class
+    data, whose ``condition_matrix`` returns ``L``.  The two-sheet closed forms
+    are :class:`JostModel`s: they define the Jost function ``jost(momenta)``
+    and their declared rim poles, and ``S(k) = F(-k)/F(k)``.
     """
 
     name: str = "abstract"
@@ -82,11 +87,17 @@ class SMatrixModel:
     sheet_count: int = 1
 
     # -- required --------------------------------------------------------
-    def pole_conditions(self, z, sheets) -> list[np.ndarray]:
-        """For each of ``sheets``, an analytic function vanishing exactly at its poles, of shape ``z.shape``; a list."""
+    def _pole_conditions(self, z: np.ndarray, sheets) -> list[np.ndarray]:
+        """For each of the checked ``sheets``, an analytic function vanishing exactly at its poles, of shape ``z.shape``; a list."""
         raise NotImplementedError
 
     # -- shared ----------------------------------------------------------
+    def pole_conditions(self, z, sheets) -> list[np.ndarray]:
+        """The hook on each of ``sheets``; ``ValueError`` for a sheet the model lacks."""
+        for sheet in sheets:
+            _check_sheet(sheet, self.sheet_count, f"model {self.name}")
+        return self._pole_conditions(np.asarray(z, dtype=complex), sheets)
+
     def pole_condition(self, z, sheet: int = 1):
         """``pole_conditions`` on the one sheet ``sheet``."""
         return self.pole_conditions(z, (sheet,))[0]
@@ -107,17 +118,15 @@ class SMatrixModel:
         One sheet: the pole condition is ``1/S``, so ``S`` is its reflection
         ``conj(pole_condition(conj z))``, which stays finite at the zeros of ``S``.
         """
-        if sheet not in (1, 2) or sheet > self.sheet_count:
-            raise ValueError(f"invalid sheet {sheet} for model {self.name}")
         if self.sheet_count == 2 and np.any(np.asarray(z) == 0):
             raise ValueError("z = 0 is the branch point")
         if self.dim_k != 1:
             raise NotImplementedError("S from the pole condition is implemented for multiplicity one")
         z = np.asarray(z, dtype=complex)
         if self.sheet_count == 1:
-            s = np.conj(self.pole_condition(np.conj(z), 1))
+            s = np.conj(self.pole_condition(np.conj(z), sheet))
         else:
-            num, den = self.pole_conditions(z, (3 - sheet, sheet))
+            den, num = self.pole_conditions(z, (sheet, 3 - sheet))
             s = num / den
         return s.reshape(z.shape + (1, 1))
 
@@ -138,9 +147,7 @@ class SMatrixModel:
 
     def eval_physical(self, z: complex) -> np.ndarray:
         """Value on the physical surface: sheet 1 for Im z >= 0, else sheet 2."""
-        if self.sheet_count == 1:
-            return self.eval(z, 1)
-        return self.eval(z, 1 if complex(z).imag >= 0 else 2)
+        return self.eval(z, 1 if self.sheet_count == 1 or complex(z).imag >= 0 else 2)
 
     def circle_coefficients(self, q, n_theta: int) -> np.ndarray:
         """Circle coefficients ``s_q`` of ``S(lam + i0) = sum_q s_q t^q``, one per entry of ``q``.
@@ -225,8 +232,7 @@ class RationalModel(SMatrixModel):
         self.poles = poles
         self.name = name
 
-    def pole_conditions(self, z, sheets):
-        z = np.asarray(z, dtype=complex)
+    def _pole_conditions(self, z, sheets):
         s = np.ones_like(z)
         for p in self.poles:
             s = s * (z - p) / (z - np.conj(p))
@@ -329,10 +335,7 @@ class JostModel(SMatrixModel):
         """``F`` at each of ``momenta``, as a list."""
         raise NotImplementedError
 
-    def pole_conditions(self, z, sheets):
-        for sheet in sheets:
-            if sheet not in (1, 2):
-                raise ValueError(f"sheet must be 1 or 2, got {sheet}")
+    def _pole_conditions(self, z, sheets):
         k = momentum(z, 1)
         return self.jost([k if sheet == 1 else -k for sheet in sheets])
 
@@ -682,26 +685,24 @@ def build_L(data: TraceClassData, z, sheet: int = 1) -> np.ndarray:
     ``I - T(mu - i0)``.  Off the axis that needs the analytic continuation
     ``c_fun``.  ``z`` is a scalar or an array.  Poles are the zeros of ``det L``.
     """
+    return _L_sheets(data, z, (sheet,))[0]
+
+
+def _L_sheets(data: TraceClassData, z, sheets) -> list[np.ndarray]:
+    """:func:`build_L` on each of ``sheets`` from one quadrature ``T``: the sheets differ by the ``2 pi i X`` jump.
+
+    Every sheet is checked first: one other than 1 or 2, or sheet two off
+    ``(0, inf)`` without ``c_fun``, is a ``ValueError``.
+    """
     z = np.asarray(z, dtype=complex)
-    _check_L_sheet(data, z, sheet)
-    return _L_from_T(data, z, trace_T(data, z), sheet)
-
-
-def _check_L_sheet(data: TraceClassData, z: np.ndarray, sheet: int) -> None:
-    """``ValueError`` for a sheet other than 1 or 2, or sheet two off ``(0, inf)`` without ``c_fun``."""
-    if sheet not in (1, 2):
-        raise ValueError(f"sheet must be 1 or 2, got {sheet}")
-    if sheet == 2 and data.c_fun is None and np.any((z.imag != 0) | (z.real <= 0)):
-        raise ValueError("sheet-two evaluation off (0, inf) needs an analytic form-factor continuation")
-
-
-def _L_from_T(data: TraceClassData, z: np.ndarray, t: np.ndarray, sheet: int) -> np.ndarray:
-    """``L`` of :func:`build_L` on a checked sheet from ``t = trace_T(data, z)``, which is left unchanged."""
-    ell = np.eye(data.aux_dim, dtype=complex) - t
-    if sheet == 2:
-        jump = np.where(np.signbit(z.imag), 2j * np.pi, -2j * np.pi)
-        ell += jump[..., None, None] * _cross_at(data, z)
-    return ell
+    for sheet in sheets:
+        _check_sheet(sheet, 2, "trace-class data")
+        if sheet == 2 and data.c_fun is None and np.any((z.imag != 0) | (z.real <= 0)):
+            raise ValueError("sheet-two evaluation off (0, inf) needs an analytic form-factor continuation")
+    ell = np.eye(data.aux_dim, dtype=complex) - trace_T(data, z)
+    return [ell if sheet == 1 else
+            ell + np.where(np.signbit(z.imag), 2j * np.pi, -2j * np.pi)[..., None, None] * _cross_at(data, z)
+            for sheet in sheets]
 
 
 class TraceClassModel(SMatrixModel):
@@ -728,17 +729,8 @@ class TraceClassModel(SMatrixModel):
     def condition_matrix(self, z, sheet: int = 1):
         return build_L(self.data, z, sheet)
 
-    def pole_conditions(self, z, sheets):
-        # the sheets' L differ only by the 2 pi i X jump, so one quadrature T serves them all
-        z = np.asarray(z, dtype=complex)
-        t = None
-        dets = []
-        for sheet in sheets:
-            _check_L_sheet(self.data, z, sheet)
-            if t is None:
-                t = trace_T(self.data, z)
-            dets.append(np.linalg.det(_L_from_T(self.data, z, t, sheet)))
-        return dets
+    def _pole_conditions(self, z, sheets):
+        return [np.linalg.det(ell) for ell in _L_sheets(self.data, z, sheets)]
 
     def constraint_poles(self):
         # the empty list inherited from SMatrixModel would leave N unconstrained
@@ -805,7 +797,10 @@ def load_trace_csv(path) -> TraceClassData:
     return TraceClassData(lam=lam, weights=w, a_vals=a_vals, b_vals=b_vals, tail_bound=tail)
 
 
-MODEL_NAMES = ("example1", "rankone", "squarewell", "traceclass", "rational")
+# the keys each model's description takes besides "model"
+_MODEL_KEYS = {"example1": (), "rankone": ("a",), "squarewell": ("v0", "radius"),
+               "traceclass": ("file",), "rational": ("poles",)}
+MODEL_NAMES = tuple(_MODEL_KEYS)
 
 
 def _is_number(value) -> bool:
@@ -814,6 +809,8 @@ def _is_number(value) -> bool:
 
 
 def _number(spec: dict, key: str) -> float:
+    if key not in spec:
+        raise ValueError(f"{spec['model']} needs {key!r}")
     if not _is_number(spec[key]):
         raise ValueError(f"{key!r} must be a number, got {spec[key]!r}")
     return float(spec[key])
@@ -823,22 +820,24 @@ def model_from_spec(spec) -> SMatrixModel:
     """Build a model from a parsed description ``{"model": name, ...}``, a name of ``MODEL_NAMES``.
 
     ``a``, ``v0`` and ``radius`` must be numbers and each of ``poles`` a pair
-    ``[re, im]`` of numbers; anything else is a ``ValueError`` naming the key.
+    ``[re, im]`` of numbers; anything else, or a key the model does not take,
+    is a ``ValueError`` naming the key.
     """
     if isinstance(spec, str):
         spec = json.loads(spec)
     if not isinstance(spec, dict) or "model" not in spec:
         raise ValueError("model description must be a mapping with a 'model' key")
     kind = spec["model"]
+    if kind not in MODEL_NAMES:
+        raise ValueError(f"unknown model {kind!r}")
+    extra = [key for key in spec if key != "model" and key not in _MODEL_KEYS[kind]]
+    if extra:
+        raise ValueError(f"model {kind} takes no {extra[0]!r}; its keys are {['model', *_MODEL_KEYS[kind]]}")
     if kind == "example1":
         return example1()
     if kind == "rankone":
-        if "a" not in spec:
-            raise ValueError("rankone needs the coupling 'a'")
         return RankOneModel(_number(spec, "a"))
     if kind == "squarewell":
-        if "v0" not in spec or "radius" not in spec:
-            raise ValueError("squarewell needs 'v0' and 'radius'")
         return SquareWellModel(_number(spec, "v0"), _number(spec, "radius"))
     if kind == "traceclass":
         if "file" not in spec:
@@ -846,11 +845,9 @@ def model_from_spec(spec) -> SMatrixModel:
         if not isinstance(spec["file"], str):
             raise ValueError(f"'file' must be a path string, got {spec['file']!r}")
         return TraceClassModel(load_trace_csv(spec["file"]))
-    if kind == "rational":
-        poles = spec.get("poles", [])
-        pairs = isinstance(poles, (list, tuple)) and all(
-            isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_number, p)) for p in poles)
-        if not pairs:
-            raise ValueError(f"'poles' must be a list of [re, im] pairs of numbers, got {poles!r}")
-        return RationalModel([complex(p[0], p[1]) for p in poles])
-    raise ValueError(f"unknown model {kind!r}")
+    poles = spec.get("poles", [])  # rational
+    pairs = isinstance(poles, (list, tuple)) and all(
+        isinstance(p, (list, tuple)) and len(p) == 2 and all(map(_is_number, p)) for p in poles)
+    if not pairs:
+        raise ValueError(f"'poles' must be a list of [re, im] pairs of numbers, got {poles!r}")
+    return RationalModel([complex(p[0], p[1]) for p in poles])

@@ -18,11 +18,13 @@ DEFAULT_GRID = (2**14, 400.0)  # points and half extent
 
 
 def _check(name, measured, tol):
-    """One check record.  A callable ``measured`` is evaluated here; if it raises,
-    the check fails with ``measured`` null and the exception under ``error``."""
+    """One check record.  A callable ``measured`` is evaluated here; if it raises or its
+    value is not finite, the check fails with ``measured`` null and the reason under ``error``."""
     record = {"check": name, "measured": None, "tolerance": tol, "pass": False}
     try:
         measured = float(measured() if callable(measured) else measured)
+        if not np.isfinite(measured):
+            raise ValueError(f"measured value {measured} is not finite")
     except Exception as exc:
         return record | {"error": f"{type(exc).__name__}: {exc}"}
     return record | {"measured": measured, "pass": measured < tol}

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 import scatres
 from conftest import run_python as _python
 from scatres import verify
-from scatres.cli import main
+from scatres.cli import _fmt_json, main
 
 
 @pytest.fixture()
@@ -381,14 +381,21 @@ def test_verify_failing_check_is_named(runner, tmp_path, monkeypatch):
 
 
 def test_verify_raising_check_is_named_failure(runner, tmp_path, monkeypatch):
-    monkeypatch.setitem(verify.SUITES, "hardy", lambda: [verify._check("hardy.boom", lambda: 1 / 0, 1.0)])
-    result = runner.invoke(main, ["verify", "--suite", "hardy", "--out", str(tmp_path)])
-    assert result.exit_code == 1
-    assert "[FAIL] hardy.boom: raised ZeroDivisionError: division by zero" in result.stdout
-    assert "failing checks: hardy.boom" in result.stderr
-    [check] = json.loads((tmp_path / "report.json").read_text())["checks"]
-    assert check == {"check": "hardy.boom", "measured": None, "tolerance": 1.0, "pass": False,
-                     "error": "ZeroDivisionError: division by zero"}
+    # a measurement that raises, or that is not finite, is a failure with a null value
+    for measured, error in ((lambda: 1 / 0, "ZeroDivisionError: division by zero"),
+                            (float("nan"), "ValueError: measured value nan is not finite")):
+        monkeypatch.setitem(verify.SUITES, "hardy", lambda: [verify._check("hardy.boom", measured, 1.0)])
+        result = runner.invoke(main, ["verify", "--suite", "hardy", "--out", str(tmp_path)])
+        assert result.exit_code == 1
+        assert f"[FAIL] hardy.boom: raised {error}" in result.stdout
+        assert "failing checks: hardy.boom" in result.stderr
+        text = (tmp_path / "report.json").read_text()
+        [check] = json.loads(text, parse_constant=lambda token: pytest.fail(f"JSON constant {token}"))["checks"]
+        assert check == {"check": "hardy.boom", "measured": None, "tolerance": 1.0, "pass": False,
+                         "error": error}
+    # the writer refuses a non-finite number rather than write a token JSON does not have
+    with pytest.raises(ValueError, match="non-finite number nan"):
+        _fmt_json({"measured": float("nan")})
 
 
 @pytest.mark.parametrize("model, bounds", [(["example1", "--sheet", "1"], ["0", "2", "-2", "2"]),
@@ -446,6 +453,10 @@ def test_malformed_model_values_exit1(runner, tmp_path, command, model, key):
     ["verify", "--suite", "bogus"],
     ["verify", "--tol", "x=1"],
     ["decay", "--model", "example1", "--basis-n", "abc"],
+    # a model flag that contradicts the description, or that the model does not take
+    ["resonances", "--model", '{"model": "rankone", "a": 1}', "--a", "4"],
+    ["resonances", "--model", "squarewell", "--v0", "10", "--radius", "1", "--a", "3"],
+    ["decay", "--model", "example1", "--v0", "3"],
 ])
 def test_bad_configuration_exit1(runner, tmp_path, args):
     out = tmp_path / "out"
@@ -455,3 +466,10 @@ def test_bad_configuration_exit1(runner, tmp_path, args):
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.output
     assert not out.exists()
+
+
+def test_contradicting_model_flag_names_both_values(runner, tmp_path):
+    result = runner.invoke(main, ["resonances", "--model", '{"model": "rankone", "a": 1}', "--a", "4",
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 1
+    assert result.stderr.startswith("error: --a 4 contradicts 'a' = 1 of the model description")

@@ -678,19 +678,6 @@ def test_pole_conditions_share_one_momentum_bit_for_bit(model, reals, off):
         assert _same_bits(sr.jost_F(_OVERFLOW_Z, 3.0, 1.5), _per_sheet_jost(_OVERFLOW_Z, 3.0, 1.5))
 
 
-@pytest.mark.parametrize("model", [sr.RankOneModel(2.0), sr.SquareWellModel(10.0, 1.0)])
-def test_pole_conditions_refusals(model):
-    for sheet in (0, 3):
-        with pytest.raises(ValueError, match="sheet must be 1 or 2"):
-            model.pole_condition(np.array([-1.0 + 0j]), sheet)
-        with pytest.raises(ValueError, match="sheet must be 1 or 2"):
-            model.pole_conditions(np.array([-1.0 + 0j]), (1, sheet))
-    if isinstance(model, sr.RankOneModel):
-        for z in (0.0, np.zeros(3)):
-            with pytest.raises(ValueError, match="branch point"):
-                model.pole_conditions(z, (1, 2))
-
-
 def test_branch_point_refusal_is_pointwise():
     # one zero among other points is the branch point; an empty array has none
     model = sr.RankOneModel(1.0)
@@ -703,7 +690,8 @@ def test_branch_point_refusal_is_pointwise():
     assert [v.shape for v in model.pole_conditions(empty, (1, 2))] == [(0,), (0,)]
 
 
-# each model family defines the one hook; pole_condition is SMatrixModel's alone
+# each model family owns the hook; the checked entries pole_conditions and
+# pole_condition are SMatrixModel's alone
 _HOOK_OWNERS = {sr.RationalModel: sr.RationalModel, sr.JostModel: sr.JostModel,
                 sr.RankOneModel: sr.JostModel, sr.SquareWellModel: sr.JostModel,
                 sr.TraceClassModel: sr.TraceClassModel}
@@ -715,7 +703,8 @@ def test_every_model_defines_only_the_one_hook():
     assert models == set(_HOOK_OWNERS)
     for cls, owner in _HOOK_OWNERS.items():
         assert cls.pole_condition is sr.SMatrixModel.pole_condition
-        assert cls.pole_conditions is vars(owner)["pole_conditions"]
+        assert cls.pole_conditions is sr.SMatrixModel.pole_conditions
+        assert cls._pole_conditions is vars(owner)["_pole_conditions"]
 
 
 _RNG = np.random.default_rng(35)
@@ -726,6 +715,31 @@ _HOOK_MODELS = [
     sr.SquareWellModel(10.0, 1.0),
     sr.TraceClassModel(sr.rankone_trace_data(1.0)),
 ]
+
+# every entry that takes a sheet; refine at 1 - i on sheet 2 of example1 once
+# returned a sheet-2 resonance of a one-sheet model
+_SHEET_ENTRIES = {
+    "pole_condition": lambda model, sheet: model.pole_condition(np.array([-1.0 + 0j]), sheet),
+    "pole_conditions": lambda model, sheet: model.pole_conditions(np.array([-1.0 + 0j]), (1, sheet)),
+    "eval": lambda model, sheet: model.eval(1 - 1j, sheet),
+    "condition_matrix": lambda model, sheet: model.condition_matrix(1 - 1j, sheet),
+    "refine": lambda model, sheet: sr.refine(model, 1 - 1j, sheet=sheet),
+    "rim_scan": lambda model, sheet: sr.rim_scan(model, -8.0, -1e-6, sheet),
+    "scan_region": lambda model, sheet: sr.scan_region(model, sr.ScanRegion(0, 2, -2, -0.05, sheet=sheet)),
+}
+
+
+@pytest.mark.parametrize("model", _HOOK_MODELS)
+def test_pole_conditions_refusals(model):
+    # sheet 0, sheet_count + 1 (sheet 2 of a one-sheet model) and 3 through every entry
+    for sheet in sorted({0, model.sheet_count + 1, 3}):
+        for call in _SHEET_ENTRIES.values():
+            with pytest.raises(ValueError, match=f"sheet must be one of .* got {sheet}"):
+                call(model, sheet)
+    if isinstance(model, sr.RankOneModel):
+        for z in (0.0, np.zeros(3)):
+            with pytest.raises(ValueError, match="branch point"):
+                model.pole_conditions(z, (1, 2))
 
 
 @pytest.mark.parametrize("model", _HOOK_MODELS, ids=lambda m: m.name)
@@ -826,6 +840,13 @@ def test_model_from_spec():
         sr.model_from_spec({"model": "unknown"})
     with pytest.raises(ValueError):
         sr.model_from_spec({"no_model": 1})
+    # a key the named model does not take is refused, not ignored
+    for spec, key in (({"model": "example1", "v0": 3.0}, "v0"),
+                      ({"model": "squarewell", "v0": 10, "radius": 1, "a": 3.0}, "a"),
+                      ({"model": "rankone", "a": 1.0, "radius": 1.0}, "radius"),
+                      ({"model": "rational", "poles": [], "file": "f.csv"}, "file")):
+        with pytest.raises(ValueError, match=f"model {spec['model']} takes no '{key}'"):
+            sr.model_from_spec(spec)
 
 
 def test_trace_csv_roundtrip(tmp_path):
