@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import tempfile
 
 import click
 import numpy as np
@@ -41,19 +40,6 @@ def _fmt_json(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_fmt_json(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj)}")
-
-
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _parse_model(model, a, v0, radius):
@@ -161,8 +147,8 @@ def cmd_resonances(model, a, v0, radius, region, sheet, out_dir):
     found, audit = _scan(mdl, regions)
     records = finder.resonances_to_json(found)
     payload = {"model": mdl.name, "audit_ok": audit.ok, "resonances": records}
-    _atomic_write(os.path.join(out_dir, "poles.json"), _fmt_json(payload) + "\n")
-    _atomic_write(os.path.join(out_dir, "poles.csv"), finder.resonances_csv_text(found))
+    finder._atomic_write(os.path.join(out_dir, "poles.json"), _fmt_json(payload) + "\n")
+    finder.resonances_to_csv(found, os.path.join(out_dir, "poles.csv"))
     click.echo(f"{'zeta':>28}  {'sheet':>5}  {'kind':>12}  {'residual':>10}")
     for r in found:
         click.echo(f"{r.zeta.real:+.6f}{r.zeta.imag:+.6f}i".rjust(28)
@@ -234,7 +220,7 @@ def cmd_decay(model, a, v0, radius, grid_n, grid_l, basis_n, times, out_dir):
     rows = ["t,re_decay,im_decay,abs_decay,re_unitary,im_unitary,abs_unitary,reference"]
     for t, d, u, ref in zip(tgrid, decay_curve.overlaps, unitary_curve.overlaps, decay_curve.reference):
         rows.append(",".join(format(v, ".12g") for v in (t, d.real, d.imag, abs(d), u.real, u.imag, abs(u), ref)))
-    _atomic_write(os.path.join(out_dir, "decay.csv"), "\n".join(rows) + "\n")
+    finder._atomic_write(os.path.join(out_dir, "decay.csv"), "\n".join(rows) + "\n")
     click.echo(f"wrote decay.csv for pole {slowest.zeta:.6f} (sheet {slowest.sheet})")
     sys.exit(0)
 
@@ -263,7 +249,7 @@ def cmd_verify(suite, out_dir):
         sys.exit(1)
     report = {"suite": suite, "checks": checks, "all_pass": all(c["pass"] for c in checks)}
     if out_dir:
-        _atomic_write(os.path.join(out_dir, "report.json"), _fmt_json(report) + "\n")
+        finder._atomic_write(os.path.join(out_dir, "report.json"), _fmt_json(report) + "\n")
     for c in checks:
         detail = (f"raised {c['error']}" if "error" in c
                   else f"measured {c['measured']:.3e} tolerance {c['tolerance']:.3e}")

@@ -1,6 +1,7 @@
 """Locating poles of the continued scattering matrix: coarse rectangle scans,
 argument-principle counting on cell boundaries, Newton refinement, kernel
-vectors, rim scans along the negative axis, and the conjugate-pair audit.
+vectors, rim scans along the negative axis, the conjugate-pair audit, and the
+poles.json/poles.csv export with the atomic writer every output file goes through.
 
 Rim scans sample the real pole condition on the negative axis and polish all
 sign-change brackets together, one batched pole-condition call per step, so
@@ -11,6 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +31,6 @@ __all__ = [
     "AuditReport",
     "find_resonances",
     "resonances_to_json",
-    "resonances_csv_text",
     "resonances_to_csv",
 ]
 
@@ -354,16 +356,26 @@ def resonances_to_json(resonances: list[Resonance]) -> list[dict]:
     return [r.as_record() for r in resonances]
 
 
-def resonances_csv_text(resonances: list[Resonance]) -> str:
-    """poles.csv: re_zeta, im_zeta, sheet, kind, residual (12 significant digits)."""
+def resonances_to_csv(resonances: list[Resonance], path) -> None:
+    """Write poles.csv: re_zeta, im_zeta, sheet, kind, residual (12 significant digits)."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["re_zeta", "im_zeta", "sheet", "kind", "residual"])
     writer.writerows([format(r.zeta.real, ".12g"), format(r.zeta.imag, ".12g"), r.sheet, r.kind,
                       format(r.residual, ".12g")] for r in resonances)
-    return buf.getvalue()
+    _atomic_write(path, buf.getvalue())
 
 
-def resonances_to_csv(resonances: list[Resonance], path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(resonances_csv_text(resonances))
+def _atomic_write(path, text: str) -> None:
+    """The one writer of output files: ``text`` goes to a temporary file in the
+    target's directory, which ``os.replace`` then renames over ``path``, so the
+    file holds either its old content or all of ``text``."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

@@ -253,16 +253,11 @@ def _phi_matrix(grid: Grid, count: int) -> np.ndarray:
     return store[0] if store[0].shape[1] == count else store[0][:, :count]
 
 
-def mt_basis(j: int, grid: Grid, m: int = 1, component: int = 0) -> GridFunction:
-    """j-th rational basis element placed in the given multiplicity component."""
+def mt_basis(j: int, grid: Grid) -> GridFunction:
+    """j-th rational basis element on the grid, a fresh writable copy of its samples."""
     if j < 0:
         raise ValueError("basis index must be non-negative")
-    if not 0 <= component < m:
-        raise ValueError("component out of range")
-    col = _phi_matrix(grid, j + 1)[:, j]
-    samples = np.zeros((grid.n_points, m), dtype=complex)
-    samples[:, component] = col
-    return GridFunction(grid, samples)
+    return GridFunction(grid, _phi_matrix(grid, j + 1)[:, j:j + 1].copy())
 
 
 @lru_cache(maxsize=4)

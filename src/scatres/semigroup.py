@@ -66,7 +66,6 @@ def apply_C(coefs: np.ndarray, t: float) -> np.ndarray:
 class GeneratorSample:
     """A point of the generator graph, in coefficients: image = lam*f + offset."""
 
-    input: np.ndarray
     offset: np.ndarray
     image: np.ndarray
 
@@ -80,7 +79,7 @@ def generator_offset(coefs: np.ndarray) -> GeneratorSample:
     Coefficients in, coefficients out; shape (D,) or (D, m).
     """
     c = np.asarray(coefs, dtype=complex)
-    return GeneratorSample(input=c, offset=-c.sum(0) / np.sqrt(np.pi),
+    return GeneratorSample(offset=-c.sum(0) / np.sqrt(np.pi),
                            image=generator_matrix(c.shape[0]) @ c)
 
 

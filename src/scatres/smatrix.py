@@ -184,8 +184,10 @@ class SMatrixModel:
     def constraint_poles(self) -> list[tuple[complex, int]]:
         """Poles of ``S(lam + i0)`` continued into the closed upper half plane, as
         (position, order): the upper-half-plane poles of a one-sheet model, the
-        upper-rim poles on the negative axis of a two-sheet model."""
-        return []
+        upper-rim poles on the negative axis of a two-sheet model.  A model
+        that declares none raises: an empty list would leave N unconstrained."""
+        raise NotImplementedError(f"model {self.name} declares no constraint poles (upper poles or "
+                                  "rim poles), so its N basis cannot be constrained")
 
     def scale(self) -> float:
         """Coupling strength that sets how far the default pole scan reaches; 0 for the fixed reach."""
@@ -716,26 +718,22 @@ class TraceClassModel(SMatrixModel):
     reduction ``det L`` is within 1e-9 of the closed form down to |Im z| = 1e-3.
     Off the axis sheet two needs the analytic form-factor continuation
     (``c_fun``) of the built-in reductions, so ``S`` of sampled data raises
-    ``ValueError`` there.
+    ``ValueError`` there.  Form-factor data declare no constraint poles, so the
+    inherited ``constraint_poles`` refuses to build their N basis.
     """
 
+    name = "traceclass"
     sheet_count = 2
 
-    def __init__(self, data: TraceClassData, name: str = "traceclass"):
+    def __init__(self, data: TraceClassData):
         self.data = data
         self.dim_k = data.a_vals.shape[1]
-        self.name = name
 
     def condition_matrix(self, z, sheet: int = 1):
         return build_L(self.data, z, sheet)
 
     def _pole_conditions(self, z, sheets):
         return [np.linalg.det(ell) for ell in _L_sheets(self.data, z, sheets)]
-
-    def constraint_poles(self):
-        # the empty list inherited from SMatrixModel would leave N unconstrained
-        raise NotImplementedError(f"model {self.name}: the rim poles of form-factor data are not "
-                                  "derived, so its N basis cannot be constrained")
 
     def scale(self):
         # sum_q w_q ||X_q||_1: |a| for the rank-one reduction
@@ -751,8 +749,9 @@ def load_trace_csv(path) -> TraceClassData:
 
     Raises ``ValueError`` for a file without data rows, a column name that is
     not of this form or repeats, an index that is not a non-negative integer,
-    a row whose cell count differs from the header's, and a cell that is not a
-    finite number (named by its row and column).
+    a row whose cell count differs from the header's, a cell that is not a
+    finite number (named by its row and column), and energies that are not
+    non-negative and strictly increasing.
     """
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
@@ -783,7 +782,7 @@ def load_trace_csv(path) -> TraceClassData:
         raise ValueError(f"row {r + 2}, column {header[c]!r}: {rows[r + 1][c].strip()!r} is not a finite number")
     lam = body[:, 0]
     if np.any(np.diff(lam) <= 0) or lam[0] < 0:
-        raise ValueError("energies must be positive and strictly increasing")
+        raise ValueError("energies must be non-negative and strictly increasing")
     m = max(i for _, _, i, _ in columns) + 1
     p = max(j for _, _, _, j in columns) + 1
     a_vals = np.zeros((lam.size, m, p), dtype=complex)

@@ -40,7 +40,6 @@ __all__ = [
     "DecayCurve",
     "transition_curve",
     "b_matrix",
-    "basis_diagnostics",
 ]
 
 N_THETA = 2**16
@@ -63,11 +62,6 @@ class SubspaceBasis:
     model: SMatrixModel
     params: dict
     diagnostics: dict
-
-    @property
-    def members(self) -> list[GridFunction]:
-        """The columns sampled on the grid, synthesized on each access."""
-        return [mt_synthesize(self.coefs[:, i], self.grid) for i in range(self.dim)]
 
     @property
     def dim(self) -> int:
@@ -293,14 +287,12 @@ def resolve_B(t_basis: SubspaceBasis, g: GridFunction, z: complex, resonances=No
     lam = t_basis.grid.points()
     if z.imag == 0:
         # real-axis recipe: k0 is the boundary value of g at the point itself,
-        # read off the samples by local cubic interpolation
+        # the constant term of the cubic through four samples around it, in
+        # coordinates centred on the point
         j = int(np.searchsorted(lam, z.real))
         j = min(max(j, 2), lam.size - 2)
-        stencil = slice(j - 2, j + 2)
-        k0 = complex(
-            np.polynomial.polynomial.polyfit(lam[stencil], g.samples[stencil, 0], 3)
-            @ z.real ** np.arange(4)
-        )
+        x = lam[j - 2:j + 2] - z.real
+        k0 = complex(np.linalg.solve(np.vander(x, 4, increasing=True), g.samples[j - 2:j + 2, 0])[0])
     elif z.imag > 0:
         k0 = complex(cauchy_eval(g, z)[0])
     else:
@@ -420,21 +412,3 @@ def b_matrix(t_basis: SubspaceBasis) -> np.ndarray:
     """Exact matrix of the restricted generator on the admissible basis."""
     full = generator_matrix(t_basis.working_dim)
     return t_basis.coefs.conj().T @ full @ t_basis.coefs
-
-
-def basis_diagnostics(basis: SubspaceBasis) -> dict:
-    return {
-        "role": basis.role,
-        "model": basis.model.name,
-        "dim": basis.dim,
-        "working_dim": basis.working_dim,
-        "params": {
-            "n": basis.params.get("n"),
-            "mode": basis.params.get("mode"),
-            "constraints": [
-                [float(np.real(pos)), float(np.imag(pos)), int(g)]
-                for pos, g in basis.params.get("constraints", [])
-            ],
-        },
-        "diagnostics": basis.diagnostics,
-    }

@@ -30,9 +30,9 @@ def _check(name, measured, tol):
     return record | {"measured": measured, "pass": measured < tol}
 
 
-def _random_function(grid, rng, m=1):
-    return GridFunction(grid, rng.standard_normal((grid.n_points, m))
-                        + 1j * rng.standard_normal((grid.n_points, m)))
+def _random_function(grid, rng):
+    return GridFunction(grid, rng.standard_normal((grid.n_points, 1))
+                        + 1j * rng.standard_normal((grid.n_points, 1)))
 
 
 def _rational(grid, poles, weights=None):
@@ -42,10 +42,10 @@ def _rational(grid, poles, weights=None):
     return GridFunction(grid, s)
 
 
-def _rational_coefs(poles, weights=None, dim=48):
-    """Exact rational-basis coefficients of the sum :func:`_rational` samples (Im p < 0)."""
+def _rational_coefs(poles, weights=None):
+    """The first 48 exact rational-basis coefficients of the sum :func:`_rational` samples (Im p < 0)."""
     weights = weights or [1.0] * len(poles)
-    return sum(w * subspace.gamov_coefficients(p, dim) for w, p in zip(weights, poles))
+    return sum(w * subspace.gamov_coefficients(p, 48) for w, p in zip(weights, poles))
 
 
 def hardy_suite():

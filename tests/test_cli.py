@@ -219,11 +219,12 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-# every verify suite, then one- and two-sheet decays, in one process; prints the
-# numpy.ma and numpy.polynomial modules loaded by then
+# every verify suite, then one- and two-sheet decays, then a resolvent on the
+# real axis, in one process; prints the numpy.ma and numpy.polynomial modules
+# loaded by then
 _VERIFY_THEN_DECAY = """
 import sys
-from scatres import verify
+from scatres import hardy, smatrix, subspace, verify
 from scatres.cli import main
 for suite in verify.SUITES:
     verify.run_suite(suite)
@@ -232,14 +233,19 @@ for model, out in ((["example1"], "decay-example1"), (["rankone", "--a", "1"], "
         main(["decay", "--model", *model, "--out", out])
     except SystemExit as exc:
         assert exc.code == 0, exc.code
+grid = hardy.make_grid(*verify.DEFAULT_GRID)
+model = smatrix.example1()
+_, tb = subspace.build_M_and_T(model, subspace.build_N_basis(model, 16, "upper_poles", grid))
+subspace.resolve_B(tb, subspace.gamov(1 - 1j, 1.0, grid), 0.5, resonances=[1 - 1j])
 print(sorted(m for m in sys.modules if m in ("numpy.ma", "numpy.polynomial")
              or m.startswith(("numpy.ma.", "numpy.polynomial."))))
 """
 
 
 def test_verify_and_decay_load_no_numpy_ma_or_polynomial(tmp_path):
-    # the tail-fit bands need no np.unique and the multiplier below the axis no
-    # polyval, so neither import is paid by a verify or a decay process
+    # the tail-fit bands need no np.unique, the multiplier below the axis no
+    # polyval and k0 on the axis no polyfit, so neither import is paid by a
+    # verify, a decay or a resolvent process
     proc = _python("-c", _VERIFY_THEN_DECAY, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"

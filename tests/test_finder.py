@@ -1,15 +1,18 @@
 """Pole scanning, winding counts, Newton refinement, kernels, audits, exports."""
 
 import json
+import os
 import warnings
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import scatres as sr
 from conftest import count_trace_T
+from scatres.cli import main
 
 SQ2 = np.sqrt(2.0)
 
@@ -301,13 +304,29 @@ def test_find_resonances_propagates_not_implemented():
         sr.find_resonances(_NoOffAxisS())
 
 
-def test_exports(tmp_path):
+def test_exports(tmp_path, monkeypatch):
     found = sr.find_resonances(sr.RankOneModel(1.0))
     records = sr.resonances_to_json(found)
     text = json.dumps(records)
     assert "resonance" in text
-    path = tmp_path / "poles.csv"
+    path = tmp_path / "poles.csv"  # a pathlib.Path target
     sr.resonances_to_csv(found, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "re_zeta,im_zeta,sheet,kind,residual"
     assert len(lines) == len(found) + 1
+    # the CLI writes the same bytes for the same model
+    result = CliRunner().invoke(main, ["resonances", "--model", "rankone", "--a", "1",
+                                       "--out", str(tmp_path / "cli")])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "cli" / "poles.csv").read_bytes() == path.read_bytes()
+    # a write that fails at the rename leaves the earlier file whole and no temporary file
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        sr.resonances_to_csv(found[:1], str(path))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cli", "poles.csv"]

@@ -160,14 +160,6 @@ def test_mt_basis_in_hardy_class(grid):
     assert lower_cauchy_leak(sr.mt_basis(3, grid)) < 1e-3
     # ... and reads order one on a function with an upper pole
     assert lower_cauchy_leak(rational_sum(grid, [2j])) > 0.1
-
-
-def test_mt_basis_component_placement(grid):
-    f = sr.mt_basis(2, grid, m=3, component=1)
-    assert f.dim_k == 3
-    assert np.all(f.samples[:, 0] == 0) and np.all(f.samples[:, 2] == 0)
-    with pytest.raises(ValueError):
-        sr.mt_basis(0, grid, m=2, component=2)
     with pytest.raises(ValueError):
         sr.mt_basis(-1, grid)
 

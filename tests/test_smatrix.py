@@ -868,6 +868,10 @@ def test_trace_csv_roundtrip(tmp_path):
     assert model.dim_k == 1
     with pytest.raises(ValueError):
         sr.build_L(data, -2j, 2)  # no analytic continuation in sampled data
+    # energies need only be non-negative: a first row at energy 0 loads
+    zero = tmp_path / "zero.csv"
+    zero.write_text("\n".join([rows[0], "0.0,0.0,0.0,0.0,0.0", *rows[1:]]) + "\n")
+    assert sr.load_trace_csv(zero).lam[0] == 0.0
 
 
 def test_trace_csv_header_validation(tmp_path):
@@ -886,7 +890,10 @@ _HEADER = "lambda,re_a_0_0,im_a_0_0,re_b_0_0,im_b_0_0\n"
     ("lambda,re_a_0_0,re_a_0_0,re_b_0_0\n0.1,1,1,1\n0.2,1,1,1\n", "must not repeat"),
     (_HEADER + "0.1,1,0,1,0\n0.2,1,0,1\n", "row 3 has 4 cells"),
     (_HEADER + "0.1,1,0,1,0,7\n0.2,1,0,1,0,7\n", "row 2 has 6 cells"),
-], ids=["header_only", "negative_index", "repeated_column", "short_row", "long_rows"])
+    (_HEADER + "-0.1,1,0,1,0\n0.2,1,0,1,0\n", "non-negative and strictly increasing"),
+    (_HEADER + "0.2,1,0,1,0\n0.2,1,0,1,0\n", "non-negative and strictly increasing"),
+], ids=["header_only", "negative_index", "repeated_column", "short_row", "long_rows",
+        "negative_energy", "repeated_energy"])
 def test_trace_csv_rejects_malformed(tmp_path, text, match):
     path = tmp_path / "bad.csv"
     path.write_text(text)
